@@ -6,14 +6,21 @@ abelianised Wirtinger relation); the Alexander polynomial is any maximal
 minor of the resulting matrix, normalised to the symmetric representative
 with value 1 at ``t = 1``.
 
-Determinants are computed exactly by evaluating the integer matrix at enough
-integer points (fraction-free Bareiss elimination) and interpolating; entry
-degrees are at most 1, so ``size + 1`` sample points suffice.
+The minor is computed with one integer determinant by Kronecker
+substitution.  Each row of the crossing matrix holds the coefficients of
+``1 - t``, ``t`` and ``-1`` (or their negatives), so its coefficients have
+absolute sum at most 4; arcs sharing a column and the dropped column only
+lower that sum.  Expanding the ``size x size`` minor as a sum over
+permutations, the coefficients of det M(t) have absolute sum at most the
+product of the row sums, ``4**size``, so every coefficient has magnitude at
+most ``4**size``.  Fraction-free Bareiss elimination of M at the integer
+``B = 2 * 4**size + 1`` gives det M(B), whose balanced base-``B`` digits
+(each in ``[-(B - 1)/2, (B - 1)/2]``) are exactly the coefficients of
+det M(t).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, FrozenSet, List, Tuple
 
 from .laurent import IntLaurent
@@ -44,24 +51,20 @@ def _int_det(mat: List[List[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _interpolate(points: List[Tuple[int, int]]) -> List[Fraction]:
-    """Coefficients (ascending) of the polynomial through the given points."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= Fraction(xj) * basis[k + 1]
-        scale = Fraction(yi) / denom
-        for k in range(len(basis)):
-            coeffs[k] += basis[k] * scale
-    return coeffs
+def _balanced_digits(value: int, base: int) -> Dict[int, int]:
+    """Nonzero digits of ``value`` in balanced base ``base`` (odd), by place."""
+    half = base // 2
+    digits: Dict[int, int] = {}
+    place = 0
+    while value:
+        r = value % base
+        if r > half:
+            r -= base
+        if r:
+            digits[place] = r
+        value = (value - r) // base
+        place += 1
+    return digits
 
 
 def _arcs(dd: DoubleDiagram, tails: FrozenSet[int]) -> Dict[int, int]:
@@ -128,25 +131,15 @@ def alexander(dd: DoubleDiagram, tails: FrozenSet[int] | None = None) -> IntLaur
     size = m - 1
     if size == 0:
         return IntLaurent.from_int_coeffs({0: 1})
-    xs = list(range(2, 2 + size + 1))
-    samples = []
-    for x in xs:
-        mat = [
-            [
-                rows[i].get(j, (0, 0))[0] + rows[i].get(j, (0, 0))[1] * x
-                for j in range(size)
-            ]
-            for i in range(size)
+    base = 2 * 4 ** size + 1
+    mat = [
+        [
+            rows[i].get(j, (0, 0))[0] + rows[i].get(j, (0, 0))[1] * base
+            for j in range(size)
         ]
-        samples.append((x, _int_det(mat)))
-    coeffs = _interpolate(samples)
-    poly: Dict[int, int] = {}
-    for e, v in enumerate(coeffs):
-        if v:
-            if v.denominator != 1:
-                raise DiagramError("Alexander determinant interpolation not integral")
-            poly[e] = int(v)
-    return _normalize(poly)
+        for i in range(size)
+    ]
+    return _normalize(_balanced_digits(_int_det(mat), base))
 
 
 def _normalize(poly: Dict[int, int]) -> IntLaurent:

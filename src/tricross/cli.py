@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, TextIO
 
+from .canon import _projection_from_code
 from .enumeration import (
     Budget,
     BudgetExceeded,
@@ -44,7 +45,6 @@ class RunConfig:
     n: int = 4
     budget_secs: Optional[float] = None
     max_nodes: Optional[int] = None
-    threads: int = 1
     fold_mirror: bool = True
     fmt: str = "json"
     out: Optional[str] = None
@@ -57,8 +57,6 @@ class RunConfig:
             raise DiagramError("--budget-secs must be positive")
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise DiagramError("--max-nodes must be positive")
-        if self.threads < 1:
-            raise DiagramError("--threads must be at least 1")
 
     def budget(self) -> Optional[Budget]:
         if self.budget_secs is None and self.max_nodes is None:
@@ -112,20 +110,32 @@ def cmd_invariants(cfg: RunConfig, spd_file: str) -> int:
     return EXIT_OK
 
 
+def _read_resume(cfg: RunConfig) -> tuple[Optional[str], list]:
+    """Token and partial codes of an earlier budget stop; nothing for an
+    empty file.  A file written for another n or mirror setting is refused."""
+    with open(cfg.resume) as f:
+        text = f.read().strip()
+    if not text:
+        return None, []
+    rec = json.loads(text)
+    if not (isinstance(rec, dict) and {"token", "partial"} <= rec.keys()
+            and (rec.get("n"), rec.get("fold_mirror")) == (cfg.n, cfg.fold_mirror)):
+        raise DiagramError(f"{cfg.resume} is not a resume file for n = {cfg.n}, "
+                           f"fold_mirror = {cfg.fold_mirror}")
+    return rec["token"], [tuple(code) for code in rec["partial"]]
+
+
 def cmd_enumerate(cfg: RunConfig) -> int:
-    resume_token = None
-    if cfg.resume:
-        with open(cfg.resume) as f:
-            resume_token = f.read().strip() or None
+    resume_token, partial_codes = _read_resume(cfg) if cfg.resume else (None, [])
     try:
         projections = enumerate_projections(
-            cfg.n, cfg.fold_mirror, cfg.budget(), resume_token
+            cfg.n, cfg.fold_mirror, cfg.budget(), resume_token, partial_codes
         )
     except BudgetExceeded as exc:
         out = _open_out(cfg.out)
         lines = [
             json.dumps({"type": "projection", "n": cfg.n, "partial": True,
-                        "spd": serialize_spd(__projection(code, cfg.n))})
+                        "spd": serialize_spd(_projection_from_code(code, cfg.n))})
             for code in exc.partial
         ]
         lines.append(json.dumps({"type": "resume", "n": cfg.n,
@@ -133,7 +143,9 @@ def cmd_enumerate(cfg: RunConfig) -> int:
         _emit(out, "\n".join(lines))
         if cfg.resume:
             with open(cfg.resume, "w") as f:
-                f.write(exc.resume_token)
+                json.dump({"n": cfg.n, "fold_mirror": cfg.fold_mirror,
+                           "token": exc.resume_token,
+                           "partial": [list(code) for code in exc.partial]}, f)
         return EXIT_PARTIAL
     out = _open_out(cfg.out)
     lines = [
@@ -146,15 +158,9 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def __projection(code, n):
-    from .maps import TripleProjection
-
-    return TripleProjection(list(code), n)
-
-
 def cmd_classify(cfg: RunConfig) -> int:
     try:
-        run = classify(cfg.n, cfg.fold_mirror, cfg.budget(), threads=cfg.threads)
+        run = classify(cfg.n, cfg.fold_mirror, cfg.budget())
     except BudgetExceeded as exc:
         out = _open_out(cfg.out)
         _emit(out, json.dumps({"type": "resume", "n": cfg.n,
@@ -249,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", dest="fmt", default="json",
                        choices=["json", "csv", "latex"])
-        p.add_argument("--threads", type=int, default=1)
 
     p_inv = sub.add_parser("invariants", help="invariants of one sPD diagram")
     p_inv.add_argument("spd_file")
@@ -291,7 +296,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         n=getattr(args, "n", 4),
         budget_secs=getattr(args, "budget_secs", None),
         max_nodes=getattr(args, "max_nodes", None),
-        threads=args.threads,
         fold_mirror=getattr(args, "fold_mirror", True),
         fmt=args.fmt,
         out=args.out,

@@ -383,6 +383,7 @@ def emit_table(classes, refs: List[ReferenceKnot], fmt: str = "json") -> str:
                 "name": identify(kc.fingerprint, refs) or "",
                 "jones": kc.jones_folded,
                 "alexander": kc.alexander,
+                "kauffman": kc.kauffman_folded,
                 "witness": kc.witness_spd,
             }
         )
@@ -391,18 +392,20 @@ def emit_table(classes, refs: List[ReferenceKnot], fmt: str = "json") -> str:
     if fmt == "csv":
         out = io.StringIO()
         w = csv.writer(out)
-        w.writerow(["c3", "name", "jones", "alexander", "witness"])
+        header = ["c3", "name", "jones", "alexander", "kauffman", "witness"]
+        w.writerow(header)
         for r in rows:
-            w.writerow([r["c3"], r["name"], r["jones"], r["alexander"], r["witness"]])
+            w.writerow([r[k] for k in header])
         return out.getvalue()
     if fmt == "latex":
         lines = [
-            "\\begin{tabular}{llll}",
-            "c3 & name & Jones & Alexander \\\\ \\hline",
+            "\\begin{tabular}{lllll}",
+            "c3 & name & Jones & Alexander & Kauffman F \\\\ \\hline",
         ]
         for r in rows:
             lines.append(
-                f"{r['c3']} & {r['name']} & ${r['jones']}$ & ${r['alexander']}$ \\\\"
+                f"{r['c3']} & {r['name']} & ${r['jones']}$ & ${r['alexander']}$"
+                f" & {'$' + r['kauffman'] + '$' if r['kauffman'] else ''} \\\\"
             )
         lines.append("\\end{tabular}")
         return "\n".join(lines) + "\n"

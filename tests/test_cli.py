@@ -53,6 +53,35 @@ def test_enumerate_budget_partial_and_resume(tmp_path):
     assert token.read_text().strip()  # token file rewritten for the next run
 
 
+def test_enumerate_resume_keeps_partial_records(tmp_path):
+    token = tmp_path / "resume.json"
+    token.write_text("")
+    legs = []
+    for leg, budget in enumerate((["--max-nodes", "300000"], ["--max-nodes", "300000"], [])):
+        out = tmp_path / f"leg{leg}.jsonl"
+        code = main(["enumerate", "--n", "4", "--out", str(out),
+                     "--resume", str(token)] + budget)
+        assert code == (EXIT_PARTIAL if budget else EXIT_OK)
+        legs.append(out.read_text())
+    partial = [{r["spd"] for r in map(json.loads, text.splitlines()) if r.get("partial")}
+               for text in legs[:2]]
+    assert partial[0] and partial[0] < partial[1]
+    full = tmp_path / "full.jsonl"
+    assert main(["enumerate", "--n", "4", "--out", str(full)]) == EXIT_OK
+    assert legs[2] == full.read_text()
+
+
+def test_enumerate_refuses_resume_file_for_other_n(tmp_path):
+    token = tmp_path / "resume.json"
+    token.write_text("")
+    assert main(["enumerate", "--n", "3", "--max-nodes", "3000",
+                 "--out", str(tmp_path / "a.jsonl"), "--resume", str(token)]) == EXIT_PARTIAL
+    assert json.loads(token.read_text())["n"] == 3
+    assert main(["enumerate", "--n", "4", "--out", str(tmp_path / "b.jsonl"),
+                 "--resume", str(token)]) == EXIT_ERROR
+    assert not (tmp_path / "b.jsonl").exists()
+
+
 def test_classify_and_report_roundtrip(tmp_path):
     run = tmp_path / "run.jsonl"
     assert main(["classify", "--n", "2", "--out", str(run)]) == EXIT_OK

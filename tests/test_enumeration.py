@@ -8,6 +8,7 @@ from tricross import (
     DoubleDiagram,
     KnotClass,
     classify,
+    convert_to_double,
     count_table,
     enumerate_diagrams,
     enumerate_projections,
@@ -18,6 +19,8 @@ from tricross import (
     kauffman_f,
     rational_knot_pd,
 )
+from tricross import enumeration
+from tricross.canon import canonical_diagram_code
 from tricross.enumeration import _mark_composites
 from tricross.laurent import HalfLaurent, Laurent2
 from conftest import W_31_41, W_41_41, W_SQUARE
@@ -69,6 +72,32 @@ def test_classify_small_counts():
     assert all(not kc.composite for kc in run.classes.values())
 
 
+def test_classify_evaluates_kauffman_once_per_mirror_class(monkeypatch):
+    # map each double diagram back to its triple diagram, then record the
+    # mirror class of every diagram F is evaluated on
+    source = {}
+    classes = []
+
+    def convert(d):
+        dd = convert_to_double(d)
+        source[id(dd)] = d
+        return dd
+
+    def f(dd):
+        classes.append(canonical_diagram_code(source[id(dd)], fold_mirror=True))
+        return kauffman_f(dd)
+
+    monkeypatch.setattr(enumeration, "convert_to_double", convert)
+    monkeypatch.setattr(enumeration, "kauffman_f", f)
+    run = classify(3)
+    assert count_table(run) == [(2, 1, 2), (3, 2, 2)]
+    # 3 and 8 diagrams carry a new pair at n = 2, 3: the trefoil, its mirror
+    # and the figure-eight; then four each of 5_2 and 6_1, in two mirror
+    # classes each
+    assert run.kauffman_evals_per_n == {2: 2, 3: 4}
+    assert len(classes) == len(set(classes)) == 6
+
+
 def test_mark_composites_on_synthetic_classes():
     v1 = HalfLaurent({2: 1, 6: 1, 8: -1})          # trefoil-like
     a1 = "1*t^-1 + -1*t^0 + 1*t^1"
@@ -110,8 +139,9 @@ def test_census_n4_kauffman_splits_two_keys(run_n4, reference):
     assert len(at4) == 27
     assert {kc.witness_spd for kc in at4 if kc.composite} == {
         W_SQUARE, W_31_41, W_41_41}
-    # F is computed only for diagrams whose (Jones, Alexander) pair is new
-    assert run_n4.kauffman_evals_per_n[4] == 497
+    # F is computed only for diagrams whose (Jones, Alexander) pair is new,
+    # once per mirror class: 257 evaluations for 497 such diagrams
+    assert run_n4.kauffman_evals_per_n[4] == 257
     by_pair = Counter(kc.fingerprint[:2] for kc in at4)
     split = [pair for pair, k in by_pair.items() if k > 1]
     assert sorted(by_pair.values()) == [1] * 23 + [2, 2]

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import pytest
 
@@ -12,14 +13,16 @@ from tricross import (
     braid_closure_pd,
     bracket_jones,
     conjecture_report,
+    convert_to_double,
     emit_table,
     emit_tikz,
     identify,
+    kauffman_f,
     load_reference,
     parse_spd,
     rational_knot_pd,
 )
-from tricross.enumeration import fold_jones
+from tricross.enumeration import fold_jones, fold_kauffman
 from tricross.laurent import HalfLaurent
 from tricross.tables import (
     APPLICABLE_HOLDS,
@@ -28,7 +31,7 @@ from tricross.tables import (
     continued_fraction,
     reference_rows,
 )
-from conftest import T2_1
+from conftest import T2_1, W_41_41, W_41_41_SPLIT, W_51_SPLIT
 
 
 def test_reference_loads_and_validates(reference):
@@ -107,6 +110,35 @@ def test_emit_table_formats(reference):
     assert "\\begin{tabular}" in as_latex
     with pytest.raises(DiagramError):
         emit_table(classes, reference, "yaml")
+
+
+def _knot_class(dd, witness):
+    return KnotClass(fold_jones(bracket_jones(dd)), str(alexander(dd)), 4, witness,
+                     kauffman_folded=fold_kauffman(kauffman_f(dd)))
+
+
+@pytest.mark.parametrize("split,partner", [
+    (W_51_SPLIT, DoubleDiagram.from_pd(rational_knot_pd((5,)))),
+    (W_41_41_SPLIT, W_41_41),
+], ids=["5_1", "4_1#4_1"])
+def test_emit_table_kauffman_column_separates_split_keys(reference, split, partner):
+    # the two classes share Jones and Alexander; only the F column tells them
+    # apart once the name and witness columns are set aside
+    if isinstance(partner, str):
+        partner = convert_to_double(parse_spd(partner))
+    classes = [_knot_class(convert_to_double(parse_spd(split)), "w"),
+               _knot_class(partner, "w")]
+    fs = {kc.kauffman_folded for kc in classes}
+    assert len(fs) == 2
+    records = [json.loads(line) for line in
+               emit_table(classes, reference, "json").splitlines()]
+    assert {r["kauffman"] for r in records} == fs
+    rows = list(csv.DictReader(io.StringIO(emit_table(classes, reference, "csv"))))
+    assert {r["kauffman"] for r in rows} == fs
+    assert len({(r["jones"], r["alexander"]) for r in rows}) == 1
+    latex = emit_table(classes, reference, "latex").splitlines()[2:4]
+    assert {f for f in fs for line in latex if f"${f}$" in line} == fs
+    assert len({line.split(" & ", 2)[2] for line in latex}) == 2
 
 
 def test_emit_tikz_colors_and_structure():
