@@ -163,7 +163,7 @@ def cmd_classify(cfg: RunConfig) -> int:
         run = classify(cfg.n, cfg.fold_mirror, cfg.budget())
     except BudgetExceeded as exc:
         out = _open_out(cfg.out)
-        _emit(out, json.dumps({"type": "resume", "n": cfg.n,
+        _emit(out, json.dumps({"type": "resume", "n": exc.n, "stage": exc.stage,
                                "token": exc.resume_token}))
         return EXIT_PARTIAL
     _emit(_open_out(cfg.out), "\n".join(_run_records(run)))

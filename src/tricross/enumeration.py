@@ -15,7 +15,8 @@ canonical representative per orbit is kept, giving the census counts
 1, 2, 15, 116 for n = 2..5.
 
 Long runs honour a wall-clock budget: on expiry a ``BudgetExceeded`` error
-carries the partial results and a resume token (the decision path), which
+names the n and the stage of the stop and, in the search, carries the partial
+results and a resume token (the decision path), which
 ``enumerate_projections`` accepts to continue the search.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .alexander import alexander
@@ -46,12 +47,17 @@ class Budget:
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a budget expires; carries partial results and a resume token."""
+    """Raised when a budget expires at crossing count ``n`` in ``stage``
+    (``"search"`` or ``"classify"``); carries partial results and, for a stop
+    in the search, a resume token."""
 
-    def __init__(self, message: str, partial: list, resume_token: str) -> None:
-        super().__init__(message)
+    def __init__(self, message: str, partial: list, resume_token: Optional[str],
+                 n: int, stage: str) -> None:
+        super().__init__(f"{message} at n = {n} in the {stage} stage")
         self.partial = partial
         self.resume_token = resume_token
+        self.n = n
+        self.stage = stage
 
 
 def _resume_path(token: Optional[str]) -> List[int]:
@@ -148,18 +154,14 @@ def enumerate_raw_shadows(
         if budget is None:
             return
         if budget.max_nodes is not None and nodes > budget.max_nodes:
-            raise BudgetExceeded(
-                "node budget exhausted",
-                collected if collected is not None else [],
-                _make_token(path),
-            )
-        if budget.wall_secs is not None and nodes % 512 == 0:
-            if time.monotonic() - start_time > budget.wall_secs:
-                raise BudgetExceeded(
-                    "time budget exhausted",
-                    collected if collected is not None else [],
-                    _make_token(path),
-                )
+            message = "node budget exhausted"
+        elif (budget.wall_secs is not None and nodes % 512 == 0
+              and time.monotonic() - start_time > budget.wall_secs):
+            message = "time budget exhausted"
+        else:
+            return
+        raise BudgetExceeded(message, collected if collected is not None else [],
+                             _make_token(path), n, "search")
 
     pairs = 0
     closed = 0
@@ -398,21 +400,34 @@ def classify(
 
     Classes whose invariants factor as a product over smaller classes are
     flagged ``composite`` but stay in the census — flagged, never dropped.
+
+    ``budget.wall_secs`` is one deadline for the whole call: the projection
+    search of each n gets what is left of it, and the classification checks
+    it before each projection.  ``BudgetExceeded`` names the n and the stage
+    of the stop; a stop in classification has no resume token.
     """
     from .spd import serialize_spd
 
     run = ClassifyRun(max_n)
     unknot_pair = (fold_jones(HalfLaurent.one()), str(IntLaurent.from_int_coeffs({0: 1})))
+    deadline = None
+    if budget is not None and budget.wall_secs is not None:
+        deadline = time.monotonic() + budget.wall_secs
     for n in range(2, max_n + 1):
         if projections_by_n and n in projections_by_n:
             projections = projections_by_n[n]
         else:
-            projections = enumerate_projections(n, fold_mirror, budget)
+            search_budget = budget
+            if deadline is not None:
+                search_budget = replace(budget, wall_secs=deadline - time.monotonic())
+            projections = enumerate_projections(n, fold_mirror, search_budget)
         run.projections_per_n[n] = len(projections)
         older_pairs = {key[:2] for key in run.classes}
         folded_f: Dict[Tuple, str] = {}
         new_here = 0
         for p in projections:
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded("time budget exhausted", [], None, n, "classify")
             for pair, d in _project_classes(p, n):
                 if pair == unknot_pair or pair in older_pairs:
                     continue

@@ -2,9 +2,10 @@
 
 Convention: ``a P(L+) - a^-1 P(L-) = z P(L0)`` with ``P(unknot) = 1``, so a
 split union multiplies by ``delta = (a - a^-1) / z`` per extra component.
-The recursion walks the oriented diagram component by component, switches the
-first crossing whose first visit is on the under-strand, and smooths it; a
-diagram with no such crossing is descending and therefore an unlink.
+The recursion (:mod:`tricross.skein`) walks the oriented diagram component by
+component, switches the first crossing whose first visit is on the
+under-strand, and smooths it along the orientation; a diagram with no such
+crossing is descending and therefore an unlink.
 
 Work is bounded by an explicit budget on skein-tree nodes; exceeding it (or
 starting from a diagram above ``max_crossings``) raises ``BudgetError``.
@@ -12,10 +13,11 @@ starting from a diagram above ``max_crossings``) raises ``BudgetError``.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet
 
 from .laurent import Laurent2
 from .maps import DoubleDiagram, InternalConsistencyError, d_opposite
+from .skein import BudgetError, Engine, first_bad_crossing, smooth, walks
 
 DELTA = Laurent2({(1, -1): 1, (-1, -1): -1})  # (a - a^-1) / z
 
@@ -23,10 +25,6 @@ _A2 = Laurent2({(2, 0): 1})
 _AZ = Laurent2({(1, 1): 1})
 _INV_A2 = Laurent2({(-2, 0): 1})
 _INV_AZ = Laurent2({(-1, 1): 1})
-
-
-class BudgetError(RuntimeError):
-    """The skein recursion exceeded its crossing or node budget."""
 
 
 def _through_pairs(c: int, tails: FrozenSet[int]) -> Dict[int, int]:
@@ -38,191 +36,18 @@ def _through_pairs(c: int, tails: FrozenSet[int]) -> Dict[int, int]:
     return {u_in: o_out, o_out: u_in, o_in: u_out, u_out: o_in}
 
 
-def _remove_crossing(
-    dd: DoubleDiagram, tails: FrozenSet[int], c: int
-) -> Tuple[DoubleDiagram, FrozenSet[int], int]:
-    """Smooth crossing ``c`` respecting orientation.
+class _Homfly(Engine):
+    delta = DELTA
 
-    Returns the smaller diagram, its inherited orientation, and the number of
-    crossingless circles split off in the process.
-    """
-    through = _through_pairs(c, tails)
-    local = set(through)
-    new_alpha_pairs: List[Tuple[int, int]] = []
-    loops = 0
-    seen = set()
-    for d in range(4 * dd.n):
-        if d in local or d in seen:
-            continue
-        e = dd.alpha[d]
-        while e in local:
-            e = dd.alpha[through[e]]
-        if e not in local:
-            new_alpha_pairs.append((d, e))
-            seen.add(d)
-            seen.add(e)
-    # circles living entirely on the removed crossing: follow head darts only,
-    # so each circle is seen once rather than once per direction
-    visited = set()
-    heads = [d for d in local if d not in tails]
-    for d in heads:
-        if d in visited:
-            continue
-        e = d
-        closed = True
-        while True:
-            visited.add(e)
-            e = dd.alpha[through[e]]
-            if e not in local:
-                closed = False
-                break
-            if e == d:
-                break
-            if e in visited:
-                closed = False
-                break
-        if closed:
-            loops += 1
-    # relabel darts, dropping crossing c
-    remap = {}
-    for old in range(4 * dd.n):
-        if old // 4 == c:
-            continue
-        new_c = old // 4 if old // 4 < c else old // 4 - 1
-        remap[old] = 4 * new_c + old % 4
-    alpha = [0] * (4 * (dd.n - 1))
-    for d, e in new_alpha_pairs:
-        alpha[remap[d]] = remap[e]
-        alpha[remap[e]] = remap[d]
-    new_dd = DoubleDiagram(alpha, dd.n - 1)
-    new_tails = frozenset(remap[d] for d in tails if d // 4 != c)
-    return new_dd, new_tails, loops
-
-
-def _switch_crossing(
-    dd: DoubleDiagram, tails: FrozenSet[int], c: int
-) -> Tuple[DoubleDiagram, FrozenSet[int]]:
-    """Exchange over and under strands at crossing ``c`` (rotate slots by 1)."""
-    remap = {}
-    for d in range(4 * dd.n):
-        if d // 4 == c:
-            remap[d] = 4 * c + (d % 4 + 1) % 4
-        else:
-            remap[d] = d
-    alpha = [0] * (4 * dd.n)
-    for d in range(4 * dd.n):
-        alpha[remap[d]] = remap[dd.alpha[d]]
-    return DoubleDiagram(alpha, dd.n), frozenset(remap[d] for d in tails)
-
-
-def _split_crossings(dd: DoubleDiagram) -> List[List[int]]:
-    """Connected components of the crossing graph."""
-    parent = list(range(dd.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for d in range(4 * dd.n):
-        a, b = find(d // 4), find(dd.alpha[d] // 4)
-        if a != b:
-            parent[a] = b
-    groups: Dict[int, List[int]] = {}
-    for c in range(dd.n):
-        groups.setdefault(find(c), []).append(c)
-    return sorted(groups.values())
-
-
-def _sub_diagram(
-    dd: DoubleDiagram, tails: FrozenSet[int], crossings: List[int]
-) -> Tuple[DoubleDiagram, FrozenSet[int]]:
-    index = {c: i for i, c in enumerate(crossings)}
-    alpha = [0] * (4 * len(crossings))
-    for c in crossings:
-        for s in range(4):
-            d = 4 * c + s
-            e = dd.alpha[d]
-            alpha[4 * index[c] + s] = 4 * index[e // 4] + e % 4
-    sub_tails = frozenset(4 * index[d // 4] + d % 4 for d in tails if d // 4 in index)
-    return DoubleDiagram(alpha, len(crossings)), sub_tails
-
-
-def _strand_components(dd: DoubleDiagram, tails: FrozenSet[int]) -> List[List[int]]:
-    """Tail-dart orbits of the traversal, ordered by smallest dart."""
-    remaining = set(tails)
-    comps = []
-    while remaining:
-        start = min(remaining)
-        orbit = []
-        d = start
-        while True:
-            orbit.append(d)
-            remaining.discard(d)
-            d = d_opposite(dd.alpha[d])
-            if d == start:
-                break
-        comps.append(orbit)
-    return sorted(comps)
-
-
-def _first_bad_crossing(dd: DoubleDiagram, tails: FrozenSet[int]) -> Optional[int]:
-    """First crossing, in traversal order, whose first visit goes under."""
-    visited = set()
-    for orbit in _strand_components(dd, tails):
-        for d in orbit:
-            c = d // 4
-            if c in visited:
-                continue
-            visited.add(c)
-            if d % 4 in (0, 2):  # exiting on the under-strand
-                return c
-    return None
-
-
-class _Engine:
-    def __init__(self, max_nodes: int) -> None:
-        self.max_nodes = max_nodes
-        self.nodes = 0
-        self.memo: Dict[Tuple[Tuple[int, ...], FrozenSet[int]], Laurent2] = {}
-
-    def eval(self, dd: DoubleDiagram, tails: FrozenSet[int]) -> Laurent2:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise BudgetError(
-                f"skein recursion exceeded the node budget ({self.max_nodes})"
-            )
-        if dd.n == 0:
-            return Laurent2.one()
-        key = (tuple(dd.alpha), tails)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        parts = _split_crossings(dd)
-        if len(parts) > 1:
-            result = DELTA ** (len(parts) - 1)
-            for crossings in parts:
-                sub, sub_tails = _sub_diagram(dd, tails, crossings)
-                result = result * self.eval(sub, sub_tails)
-        else:
-            result = self._connected(dd, tails)
-        self.memo[key] = result
-        return result
-
-    def _connected(self, dd: DoubleDiagram, tails: FrozenSet[int]) -> Laurent2:
-        bad = _first_bad_crossing(dd, tails)
+    def connected(self, dd: DoubleDiagram, tails: FrozenSet[int],
+                  flips: FrozenSet[int]) -> Laurent2:
+        bad = first_bad_crossing(dd, tails, flips)
         if bad is None:
-            ncomp = len(_strand_components(dd, tails))
-            return DELTA ** (ncomp - 1)
-        sign = dd.crossing_sign(bad, tails)
-        switched, sw_tails = _switch_crossing(dd, tails, bad)
-        smoothed, sm_tails, loops = _remove_crossing(dd, tails, bad)
-        p_switch = self.eval(switched, sw_tails)
-        # free loops are extra split components, except that an empty smoothed
-        # diagram means one of them is the base circle itself
-        extra = loops if smoothed.n else loops - 1
-        p_smooth = self.eval(smoothed, sm_tails) * DELTA**extra
+            return DELTA ** (len(walks(dd, tails)) - 1)
+        sign = dd.crossing_sign(bad, tails) * (-1 if bad in flips else 1)
+        p_switch = self.eval(dd, tails, flips ^ {bad})
+        p_smooth = self.eval_smoothed(*smooth(dd, tails, flips, bad,
+                                              _through_pairs(bad, tails)))
         if sign > 0:
             # P(L+) = a^-2 P(L-) + a^-1 z P(L0)
             return _INV_A2 * p_switch + _INV_AZ * p_smooth
@@ -243,10 +68,10 @@ def homfly(
         )
     if tails is None:
         tails = dd.orientations()[0]
-    engine = _Engine(max_nodes)
-    result = engine.eval(dd, tails)
+    engine = _Homfly(max_nodes)
+    result = engine.eval(dd, tails, frozenset())
     if dd.num_components() == 1:
-        other = engine.eval(dd, frozenset(dd.alpha[d] for d in tails))
+        other = engine.eval(dd, frozenset(dd.alpha[d] for d in tails), frozenset())
         if other != result:
             raise InternalConsistencyError(
                 "HOMFLY of a knot depends on the traversal direction"

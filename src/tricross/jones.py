@@ -199,17 +199,11 @@ def _tangle_bracket(word: str) -> Dict[Matching, Dict[int, int]]:
     for x in "abc":
         entries = []
         for _, conn in tangle_slots(x, word):
-            if conn[0] == "bd":
-                # find this crossing's own port carrying that boundary slot
-                for a, _, c2 in TANGLE_ENDS[x]:
-                    if c2 == conn:
-                        entries.append(port_idx[(x, a)])
-                        break
-            else:
-                for a, _, c2 in TANGLE_ENDS[x]:
-                    if c2 == conn:
-                        entries.append(port_idx[(x, a)])
-                        break
+            # this crossing's own port carrying that connection
+            for a, _, c2 in TANGLE_ENDS[x]:
+                if c2 == conn:
+                    entries.append(port_idx[(x, a)])
+                    break
         assert len(entries) == 4
         slot_ports[x] = entries
 

@@ -9,72 +9,37 @@ union multiplying by ``delta = (a + a^-1) z^-1 - 1``.  The ambient-isotopy
 polynomial is ``F(L) = a^-w Lambda(L)`` (knots only here, so the writhe is
 orientation-free).
 
-A diagram whose every crossing is first reached on its over-strand, in the
-traversal fixed by smallest darts, is a stack of curled unknots; its Lambda
-is ``delta^(k-1)`` times ``a`` to the sum of self-writhes.  Otherwise the
-first offending crossing is switched (toward descending) and smoothed both
-ways.  The recursion keeps the shadow fixed and records switches as per-
-crossing over/under flips, so the traversal never changes and every switch
-strictly reduces the number of offending crossings.
-
-Work is bounded like in :mod:`tricross.homfly`; the recursion raises
-``BudgetError`` beyond the node cap.
+The recursion (:mod:`tricross.skein`) is unoriented: each component is
+walked from its smallest dart.  A diagram whose every crossing is first
+reached on its over-strand is a stack of curled unknots; its Lambda is
+``delta^(k-1)`` times ``a`` to the sum of self-writhes.  Otherwise the first
+offending crossing is switched (toward descending) and smoothed both ways.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from .homfly import BudgetError
 from .laurent import Laurent2
-from .maps import DoubleDiagram, d_opposite
+from .maps import DoubleDiagram
+from .skein import Darts, Engine, Flips, first_bad_crossing, smooth, walks
 
 DELTA_K = Laurent2({(1, -1): 1, (-1, -1): 1, (0, 0): -1})  # (a + a^-1)/z - 1
 
 _Z = Laurent2({(0, 1): 1})
 
-Flips = FrozenSet[int]
 
-
-def _components(dd: DoubleDiagram) -> List[List[int]]:
-    """Strand components as walks of outgoing darts, by smallest dart."""
-    seen = set()
-    comps = []
-    for start in range(4 * dd.n):
-        if start in seen:
-            continue
-        walk = []
-        d = start
-        while d not in seen:
-            seen.add(d)
-            seen.add(d_opposite(d))
-            walk.append(d)
-            d = d_opposite(dd.alpha[d])
-        comps.append(walk)
-    return comps
-
-
-def _is_under(d: int, flips: Flips) -> bool:
-    return (d % 4 in (0, 2)) != (d // 4 in flips)
-
-
-def _first_bad_crossing(dd: DoubleDiagram, flips: Flips) -> Optional[int]:
-    """First crossing, in traversal order, first reached on its under-strand."""
-    visited = set()
-    for walk in _components(dd):
-        for d in walk:
-            c = d // 4
-            if c in visited:
-                continue
-            visited.add(c)
-            if _is_under(d, flips):
-                return c
-    return None
+def _smoothings(c: int) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """The two unoriented smoothings of crossing ``c``: slots (0,1) and (2,3)
+    joined, and slots (1,2) and (3,0) joined."""
+    b = 4 * c
+    return ({b: b + 1, b + 1: b, b + 2: b + 3, b + 3: b + 2},
+            {b + 1: b + 2, b + 2: b + 1, b + 3: b, b: b + 3})
 
 
 def _self_writhe(dd: DoubleDiagram, flips: Flips) -> int:
     """Sum over components of the signed self-crossings (orientation-free)."""
-    comps = _components(dd)
+    comps = walks(dd)
     tails = frozenset(d for walk in comps for d in walk)
     comp_of: Dict[int, set] = {}
     for i, walk in enumerate(comps):
@@ -88,147 +53,23 @@ def _self_writhe(dd: DoubleDiagram, flips: Flips) -> int:
     return w
 
 
-def _smooth(
-    dd: DoubleDiagram, flips: Flips, c: int, mode: int
-) -> Tuple[DoubleDiagram, Flips, int]:
-    """Replace crossing ``c`` by one of the two unoriented smoothings.
+class _Kauffman(Engine):
+    delta = DELTA_K
 
-    ``mode`` 0 joins slots (0,1) and (2,3); mode 1 joins (1,2) and (3,0).
-    Returns the smaller diagram, its flips, and the count of freed circles.
-    """
-    base = 4 * c
-    if mode == 0:
-        through = {base: base + 1, base + 1: base, base + 2: base + 3, base + 3: base + 2}
-    else:
-        through = {base + 1: base + 2, base + 2: base + 1, base + 3: base, base: base + 3}
-    local = set(through)
-    pairs = []
-    seen = set()
-    for d in range(4 * dd.n):
-        if d in local or d in seen:
-            continue
-        e = dd.alpha[d]
-        while e in local:
-            e = dd.alpha[through[e]]
-        pairs.append((d, e))
-        seen.add(d)
-        seen.add(e)
-    # circles living entirely on the removed crossing
-    parent = {d: d for d in local}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    external = set()
-    for d in local:
-        parent[find(d)] = find(through[d])
-        e = dd.alpha[d]
-        if e in local:
-            parent[find(d)] = find(e)
-        else:
-            external.add(d)
-    roots = {find(d) for d in local}
-    open_roots = {find(d) for d in external}
-    loops = len(roots - open_roots)
-
-    remap = {}
-    for old in range(4 * dd.n):
-        if old // 4 == c:
-            continue
-        new_c = old // 4 if old // 4 < c else old // 4 - 1
-        remap[old] = 4 * new_c + old % 4
-    alpha = [0] * (4 * (dd.n - 1))
-    for d, e in pairs:
-        alpha[remap[d]] = remap[e]
-        alpha[remap[e]] = remap[d]
-    new_flips = frozenset(
-        (f if f < c else f - 1) for f in flips if f != c
-    )
-    return DoubleDiagram(alpha, dd.n - 1), new_flips, loops
-
-
-def _split_crossings(dd: DoubleDiagram) -> List[List[int]]:
-    parent = list(range(dd.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for d in range(4 * dd.n):
-        a, b = find(d // 4), find(dd.alpha[d] // 4)
-        if a != b:
-            parent[a] = b
-    groups: Dict[int, List[int]] = {}
-    for c in range(dd.n):
-        groups.setdefault(find(c), []).append(c)
-    return sorted(groups.values())
-
-
-def _sub_diagram(
-    dd: DoubleDiagram, flips: Flips, crossings: List[int]
-) -> Tuple[DoubleDiagram, Flips]:
-    index = {c: i for i, c in enumerate(crossings)}
-    alpha = [0] * (4 * len(crossings))
-    for c in crossings:
-        for s in range(4):
-            e = dd.alpha[4 * c + s]
-            alpha[4 * index[c] + s] = 4 * index[e // 4] + e % 4
-    sub_flips = frozenset(index[f] for f in flips if f in index)
-    return DoubleDiagram(alpha, len(crossings)), sub_flips
-
-
-class _Engine:
-    def __init__(self, max_nodes: int) -> None:
-        self.max_nodes = max_nodes
-        self.nodes = 0
-        self.memo: Dict[Tuple[Tuple[int, ...], Flips], Laurent2] = {}
-
-    def eval(self, dd: DoubleDiagram, flips: Flips) -> Laurent2:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise BudgetError(
-                f"Kauffman recursion exceeded the node budget ({self.max_nodes})"
-            )
-        if dd.n == 0:
-            return Laurent2.one()
-        key = (tuple(dd.alpha), flips)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        parts = _split_crossings(dd)
-        if len(parts) > 1:
-            result = DELTA_K ** (len(parts) - 1)
-            for crossings in parts:
-                result = result * self.eval(*_sub_diagram(dd, flips, crossings))
-        else:
-            result = self._connected(dd, flips)
-        self.memo[key] = result
-        return result
-
-    def _eval_smoothed(self, smoothed: DoubleDiagram, flips: Flips, loops: int) -> Laurent2:
-        extra = loops if smoothed.n else loops - 1
-        return self.eval(smoothed, flips) * DELTA_K**extra
-
-    def _connected(self, dd: DoubleDiagram, flips: Flips) -> Laurent2:
-        bad = _first_bad_crossing(dd, flips)
+    def connected(self, dd: DoubleDiagram, tails: Darts, flips: Flips) -> Laurent2:
+        bad = first_bad_crossing(dd, tails, flips)
         if bad is None:
-            k = len(_components(dd))
-            w = _self_writhe(dd, flips)
-            return (DELTA_K ** (k - 1)).scale(1, w, 0)
-        s0 = self._eval_smoothed(*_smooth(dd, flips, bad, 0))
-        s1 = self._eval_smoothed(*_smooth(dd, flips, bad, 1))
-        switched = self.eval(dd, flips ^ {bad})
+            k = len(walks(dd))
+            return (DELTA_K ** (k - 1)).scale(1, _self_writhe(dd, flips), 0)
+        s0, s1 = (self.eval_smoothed(*smooth(dd, tails, flips, bad, through))
+                  for through in _smoothings(bad))
+        switched = self.eval(dd, tails, flips ^ {bad})
         return _Z * (s0 + s1) - switched
 
 
 def kauffman_lambda(dd: DoubleDiagram, max_nodes: int = 2_000_000) -> Laurent2:
     """Regular-isotopy Kauffman polynomial Lambda."""
-    return _Engine(max_nodes).eval(dd, frozenset())
+    return _Kauffman(max_nodes).eval(dd, frozenset(), frozenset())
 
 
 def kauffman_f(dd: DoubleDiagram, max_nodes: int = 2_000_000) -> Laurent2:

@@ -21,7 +21,6 @@ its own inverse (apply it at the image site to undo it).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
@@ -42,25 +41,6 @@ class MoveSite:
     kind: str  # M1, M2, JR, JR'
     crossing: int  # crossing whose attachments change
     slot: int  # anchor slot: the preserved sector is (slot, slot + 1)
-    width: int = 1  # strands the sliding arc crosses
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "crossing": self.crossing,
-                "slot": self.slot,
-                "width": self.width,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MoveSite":
-        rec = json.loads(text)
-        site = cls(rec["kind"], rec["crossing"], rec["slot"], rec.get("width", 1))
-        if site.kind not in (M1, M2, JR, JR_PRIME):
-            raise DiagramError(f"unknown move kind {site.kind!r}")
-        return site
 
 
 def _slide_alpha(alpha: List[int], n: int, c: int, s: int) -> List[int]:
@@ -127,10 +107,8 @@ def apply_m(p: TripleProjection, site: MoveSite) -> TripleProjection:
     return q
 
 
-def _jr_sites(d: TripleDiagram, level: str, kind: str, max_width: int) -> List[MoveSite]:
+def _jr_sites(d: TripleDiagram, level: str, kind: str) -> List[MoveSite]:
     sites = []
-    if max_width < 1:
-        return sites
     p = d.projection
     for c in range(p.n):
         for s in range(6):
@@ -144,8 +122,8 @@ def _jr_sites(d: TripleDiagram, level: str, kind: str, max_width: int) -> List[M
     return sites
 
 
-def find_jr_sites(d: TripleDiagram, max_width: int = 4) -> List[MoveSite]:
-    return _jr_sites(d, "T", JR, max_width) + _jr_sites(d, "B", JR_PRIME, max_width)
+def find_jr_sites(d: TripleDiagram) -> List[MoveSite]:
+    return _jr_sites(d, "T", JR) + _jr_sites(d, "B", JR_PRIME)
 
 
 def _apply_jr_kind(d: TripleDiagram, site: MoveSite, level: str) -> TripleDiagram:

@@ -7,7 +7,7 @@ needs the class table.
 
 import pytest
 
-from tricross import classify, enumerate_projections, load_reference
+from tricross import classify, enumeration, enumerate_projections, load_reference
 
 # Frozen sPD fixtures: the two 2-triple-crossing diagrams and their knots.
 T2_1 = "sPD[X[5,4,3,2,1,5|TMB],X[6,2,3,4,1,6|TMB]]"  # trefoil
@@ -43,3 +43,18 @@ def run_n4():
 @pytest.fixture(scope="session")
 def projections_n3():
     return {n: enumerate_projections(n) for n in (2, 3)}
+
+
+@pytest.fixture
+def projection_clock(monkeypatch):
+    """A fake ``time.monotonic`` for ``tricross.enumeration`` that stands
+    still except for one tick per projection classified."""
+    clock = [0.0]
+    project = enumeration._project_classes
+
+    def tick(p, n):
+        clock[0] += 1
+        return project(p, n)
+
+    monkeypatch.setattr(enumeration.time, "monotonic", lambda: clock[0])
+    monkeypatch.setattr(enumeration, "_project_classes", tick)

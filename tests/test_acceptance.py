@@ -197,7 +197,7 @@ def test_criterion_09_move_preservation(projections_n4):
             for words in itertools.product(HEIGHT_WORDS, repeat=n):
                 d = TripleDiagram(p, list(words))
                 v = None
-                for site in find_jr_sites(d, max_width=2):
+                for site in find_jr_sites(d):
                     if v is None:
                         v = jones_triple(d)
                     d2 = apply_move(d, site)

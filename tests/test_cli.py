@@ -98,6 +98,14 @@ def test_classify_and_report_roundtrip(tmp_path):
     assert names == {"3_1", "4_1"}
 
 
+def test_classify_budget_stop_names_n_and_stage(tmp_path, projection_clock):
+    out = tmp_path / "run.jsonl"
+    code = main(["classify", "--n", "3", "--budget-secs", "1.5", "--out", str(out)])
+    assert code == EXIT_PARTIAL
+    assert read_jsonl(out) == [
+        {"type": "resume", "n": 3, "stage": "classify", "token": None}]
+
+
 def test_report_formats(tmp_path):
     run = tmp_path / "run.jsonl"
     main(["classify", "--n", "2", "--out", str(run)])

@@ -53,6 +53,18 @@ def test_budget_and_resume_roundtrip():
     assert len(done) == 2
 
 
+@pytest.mark.parametrize("wall_secs, stage", [(0.5, "search"), (1.5, "classify")])
+def test_classify_budget_is_one_deadline(projection_clock, wall_secs, stage):
+    # one tick for the n = 2 projection; at 0.5 s the n = 3 search inherits
+    # an exhausted deadline, at 1.5 s the second n = 3 projection is refused
+    with pytest.raises(BudgetExceeded) as exc_info:
+        classify(3, budget=Budget(wall_secs=wall_secs))
+    exc = exc_info.value
+    assert (exc.n, exc.stage) == (3, stage)
+    assert (exc.resume_token is None) == (stage == "classify")
+    assert f"at n = 3 in the {stage} stage" in str(exc)
+
+
 def test_enumerate_diagrams_deduplicates():
     p = enumerate_projections(2)[0]
     diagrams = enumerate_diagrams(p)

@@ -6,6 +6,7 @@ from tricross import (
     bracket_jones,
     convert_to_double,
     homfly,
+    kauffman_f,
     parse_spd,
     rational_knot_pd,
 )
@@ -45,7 +46,8 @@ def test_fig8_value_is_amphichiral():
     assert got == got.mirror()
 
 
-def test_budget_error_raised():
+@pytest.mark.parametrize("invariant", [homfly, kauffman_f], ids=["homfly", "kauffman_f"])
+def test_budget_error_raised(invariant):
     dd = convert_to_double(parse_spd(T2_2))
     with pytest.raises(BudgetError):
-        homfly(dd, max_nodes=3)
+        invariant(dd, max_nodes=3)

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from tricross import (
+    DoubleDiagram,
     HalfLaurent,
     IntLaurent,
     Laurent2,
@@ -13,6 +14,8 @@ from tricross import (
     alexander,
     convert_to_double,
     enumerate_projections,
+    homfly,
+    kauffman_f,
     parse_spd,
     serialize_spd,
 )
@@ -96,3 +99,27 @@ def test_alexander_symmetry_on_random_diagrams(idx, data):
     cs = a.int_coeffs()
     assert cs == {-e: c for e, c in cs.items()}
     assert sum(cs.values()) == 1
+
+
+@given(st.integers(0, len(_PROJECTIONS) - 1), st.data())
+@settings(max_examples=20, deadline=None)
+def test_skein_polynomials_ignore_the_labelling(idx, data):
+    """HOMFLY and F do not change when the crossings of the double diagram
+    are renumbered and some of them rotated by two slots (which keeps the
+    under-strand on slots 0 and 2)."""
+    p = _PROJECTIONS[idx]
+    words = [data.draw(st.sampled_from(HEIGHT_WORDS)) for _ in range(p.n)]
+    dd = convert_to_double(TripleDiagram(p, words))
+    perm = data.draw(st.permutations(range(dd.n)))
+    turned = [data.draw(st.booleans()) for _ in range(dd.n)]
+
+    def move(d):
+        c, s = divmod(d, 4)
+        return 4 * perm[c] + ((s + 2) % 4 if turned[c] else s)
+
+    alpha = [0] * (4 * dd.n)
+    for d, e in enumerate(dd.alpha):
+        alpha[move(d)] = move(e)
+    relabelled = DoubleDiagram(alpha, dd.n)
+    assert homfly(relabelled) == homfly(dd)
+    assert kauffman_f(relabelled) == kauffman_f(dd)
