@@ -31,27 +31,52 @@ def _trace(
     reads old slot ``base + direction * k``.  Returns the code tuple, the new
     order of the old crossings, and their base slots.
     """
-    order = [-1] * n  # new id -> old crossing
-    base = [0] * n  # new id -> base slot (old numbering)
-    new_id = [-1] * n  # old crossing -> new id
-    order[0] = root // 6
-    base[0] = root % 6
-    new_id[root // 6] = 0
-    count = 1
-    code: List[int] = []
-    for cid in range(n):
-        old_c = order[cid]
-        for k in range(6):
-            s = (base[cid] + direction * k) % 6
-            partner = alpha[6 * old_c + s]
-            pc, ps = partner // 6, partner % 6
-            if new_id[pc] == -1:
-                new_id[pc] = count
-                order[count] = pc
-                base[count] = ps
-                count += 1
-            code.append(6 * new_id[pc] + (direction * (ps - base[new_id[pc]])) % 6)
+    code, order, base, new_id = _start_trace(n, root)
+    _extend_trace(alpha, direction, code, order, base, new_id, 6 * n)
     return tuple(code), order, base
+
+
+def _start_trace(n: int, root: int) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """Empty trace from ``root``: code, order (new id -> old crossing), base
+    slots (new id -> old slot) and new ids (old crossing -> new id or -1)."""
+    new_id = [-1] * n
+    new_id[root // 6] = 0
+    return [], [root // 6], [root % 6], new_id
+
+
+def _extend_trace(
+    alpha: List[int], direction: int, code: List[int], order: List[int],
+    base: List[int], new_id: List[int], stop: int,
+) -> int:
+    """Read the trace on, in place, from position ``len(code)`` to ``stop``.
+
+    Position ``6 * i + k`` reads new slot ``k`` of new crossing ``i``; a
+    crossing gets the next new id when first reached, and the slot it is
+    reached at becomes its base.  ``alpha`` may be a partial pairing, with
+    ``-1`` at unpaired darts: the trace then halts before reading one.
+    Returns the dart the next position would read, or -1 past the last
+    crossing reached.
+    """
+    cid, k = divmod(len(code), 6)
+    last, end = divmod(stop, 6)
+    while cid < len(order):
+        first, b = 6 * order[cid], base[cid]
+        for k in range(k, 6 if cid < last else end):
+            dart = first + (b + direction * k) % 6
+            partner = alpha[dart]
+            if partner < 0:
+                return dart
+            pc, ps = partner // 6, partner % 6
+            nid = new_id[pc]
+            if nid == -1:
+                nid = new_id[pc] = len(order)
+                order.append(pc)
+                base.append(ps)
+            code.append(6 * nid + (direction * (ps - base[nid])) % 6)
+        if cid == last:
+            return first + (b + direction * end) % 6
+        cid, k = cid + 1, 0
+    return -1
 
 
 def _height_word(word: str, base: int, direction: int, reverse_ranks: bool) -> str:

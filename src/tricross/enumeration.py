@@ -7,12 +7,14 @@ The generator backtracks over edge pairings of ``n`` six-valent vertices:
 * a pairing that closes a face is accepted only while the closed-face count
   can still reach the spherical total ``2n + 2``;
 * a pairing that closes a strand component early is rejected, so every
-  completed shadow is a knot projection (one closed curve).
+  completed shadow is a knot projection (one closed curve);
+* a pairing after which the labeling can no longer be the canonical one is
+  rejected (orderly generation, Read 1978, Faradzev 1978), so the search
+  yields one shadow per isomorphism class, already in canonical form.
 
-Survivors are filtered to prime shadows, deduplicated by canonical code with
-mirror folding, and then grouped into orbits of the M1/M2 slides; one
-canonical representative per orbit is kept, giving the census counts
-1, 2, 15, 116 for n = 2..5.
+Survivors are filtered to prime shadows and then grouped into orbits of the
+M1/M2 slides; one canonical representative per orbit is kept, giving the
+census counts 1, 2, 15, 116 for n = 2..5.
 
 Long runs honour a wall-clock budget: on expiry a ``BudgetExceeded`` error
 names the n and the stage of the stop and, in the search, carries the partial
@@ -29,11 +31,17 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .alexander import alexander
-from .canon import canonical_diagram_code, canonical_projection_code, canonical_form
+from .canon import (
+    _extend_trace,
+    _start_trace,
+    canonical_diagram_code,
+    canonical_form,
+    canonical_projection_code,
+)
 from .jones import jones_triple_batch
 from .kauffman import kauffman_f
 from .laurent import HalfLaurent, IntLaurent, Laurent2
-from .maps import TripleDiagram, TripleProjection
+from .maps import DiagramError, InternalConsistencyError, TripleDiagram, TripleProjection
 from .moves import apply_m, find_m_sites
 from .tangle import convert_to_double
 
@@ -60,15 +68,18 @@ class BudgetExceeded(RuntimeError):
         self.stage = stage
 
 
-def _resume_path(token: Optional[str]) -> List[int]:
+def _resume_path(token: Optional[str], n: int, fold_mirror: bool) -> List[int]:
     if not token:
         return []
     rec = json.loads(token)
+    if (rec.get("n"), rec.get("fold_mirror")) != (n, fold_mirror):
+        raise DiagramError(f"the resume token is not one of this search at n = {n}, "
+                           f"fold_mirror = {fold_mirror}")
     return list(rec["path"])
 
 
-def _make_token(path: List[int]) -> str:
-    return json.dumps({"path": path})
+def _make_token(path: List[int], n: int, fold_mirror: bool) -> str:
+    return json.dumps({"n": n, "fold_mirror": fold_mirror, "path": path})
 
 
 def enumerate_raw_shadows(
@@ -76,11 +87,13 @@ def enumerate_raw_shadows(
     budget: Optional[Budget] = None,
     resume_token: Optional[str] = None,
     collected: Optional[list] = None,
+    fold_mirror: bool = True,
 ) -> Iterator[TripleProjection]:
-    """Yield connected spherical one-curve shadows with ``n`` triple points.
+    """Yield connected spherical one-curve shadows with ``n`` triple points,
+    one shadow per isomorphism class (up to reflection with ``fold_mirror``).
 
-    Output is one representative per labeling reachable by the activation
-    scheme; use canonical codes to deduplicate isomorphic shadows.
+    Each shadow is yielded in its canonical labeling: its ``alpha`` equals
+    ``canonical_projection_code(shadow, fold_mirror)``.
     """
     if n < 1:
         return
@@ -130,12 +143,44 @@ def enumerate_raw_shadows(
                     cnt += 1
         return cnt
 
+    # Orderly generation: a shadow built here equals its own trace from
+    # dart 0 in sense +1, so it is canonical exactly when no other (root,
+    # sense) trace is smaller.  Every trace that still ties alpha on the
+    # positions fixed so far is carried along and read on as darts get
+    # paired; one that falls below alpha rules out the whole subtree.
+    senses = (1, -1) if fold_mirror else (1,)
+    rivals = []
+    for root in range(N):
+        for direction in senses:
+            if (root, direction) != (0, 1):
+                rivals.append((*_start_trace(n, root), direction, root))
+
+    def still_tied(traces: list, stop: int) -> Optional[list]:
+        """The traces that tie alpha up to position ``stop``; None when one
+        is smaller.  A trace is ``(code, order, base, new_id, direction,
+        next dart)`` and is copied before it is read on."""
+        tied = []
+        for t in traces:
+            if t[5] < 0 or alpha[t[5]] < 0:
+                tied.append(t)  # read out, or waits for its next dart
+                continue
+            code, order, base, new_id = t[0][:], t[1][:], t[2][:], t[3][:]
+            start = len(code)
+            wait = _extend_trace(alpha, t[4], code, order, base, new_id, stop)
+            read, fixed = code[start:], alpha[start:len(code)]
+            if read == fixed:
+                tied.append((code, order, base, new_id, t[4], wait))
+            elif read < fixed:
+                return None
+        return tied
+
     start_time = time.monotonic()
     nodes = 0
     path: List[int] = []
-    replay = _resume_path(resume_token)
+    replay = _resume_path(resume_token, n, fold_mirror)
 
-    # iterative backtracking; each frame: (d, candidates, next index, undo)
+    # iterative backtracking; each frame: [d, candidates, next index, undo,
+    # traces still tied]
     stack: List[list] = []
 
     def candidates_for(d: int) -> List[int]:
@@ -150,7 +195,7 @@ def enumerate_raw_shadows(
                 break
         return cands
 
-    def check_budget() -> None:
+    def check_budget(e: int) -> None:
         if budget is None:
             return
         if budget.max_nodes is not None and nodes > budget.max_nodes:
@@ -160,16 +205,17 @@ def enumerate_raw_shadows(
             message = "time budget exhausted"
         else:
             return
+        # the token ends with the pairing not yet tried, where a resumed
+        # search picks up
         raise BudgetExceeded(message, collected if collected is not None else [],
-                             _make_token(path), n, "search")
+                             _make_token(path + [e], n, fold_mirror), n, "search")
 
     pairs = 0
     closed = 0
-    d = 0
-    stack.append([0, candidates_for(0), 0, 0])
+    stack.append([0, candidates_for(0), 0, None, rivals])
     while stack:
         frame = stack[-1]
-        d, cands, idx, _ = frame
+        d, cands, idx, _, traces = frame
         advanced = False
         while idx < len(cands):
             e = cands[idx]
@@ -177,11 +223,12 @@ def enumerate_raw_shadows(
             if replay:
                 if e < replay[0]:
                     continue
-                if e > replay[0]:
-                    replay.clear()
-                    # the recorded branch is gone; fall through normally
+                if e == replay[0]:
+                    replay.pop(0)
+                else:
+                    replay.clear()  # the recorded branch is gone
             nodes += 1
-            check_budget()
+            check_budget(e)
             ra, rb = find(d), find(e)
             if ra == rb and pairs + 1 < 3 * n:
                 continue  # would close a strand component early
@@ -190,6 +237,15 @@ def enumerate_raw_shadows(
             delta = closes_face_count(d, e)
             rem = 3 * n - pairs - 1
             if closed + delta > target or closed + delta + 2 * rem < target:
+                alpha[d] = -1
+                alpha[e] = -1
+                continue
+            nd = alpha.index(-1) if rem else N
+            tied = still_tied(traces, nd)  # None: no completion is canonical
+            if tied is None or not rem:
+                if tied is not None:
+                    # the face bound above left exactly 2n + 2 faces
+                    yield TripleProjection(list(alpha), n)
                 alpha[d] = -1
                 alpha[e] = -1
                 continue
@@ -207,20 +263,7 @@ def enumerate_raw_shadows(
             closed += delta
             pairs += 1
             path.append(e)
-            if replay and e == replay[0]:
-                replay.pop(0)
-            if pairs == 3 * n:
-                if closed == target:
-                    p = TripleProjection(list(alpha), n)
-                    yield p
-                # undo immediately and continue with siblings
-                _undo_pair(alpha, touched, parent, rank, d, undo)
-                closed -= delta
-                pairs -= 1
-                path.pop()
-                continue
-            nd = alpha.index(-1)
-            stack.append([nd, candidates_for(nd), 0, undo])
+            stack.append([nd, candidates_for(nd), 0, undo, tied])
             advanced = True
             break
         if advanced:
@@ -266,12 +309,15 @@ def enumerate_projections(
             p = TripleProjection(list(code), n)
             seen[canonical_projection_code(p, fold_mirror)] = p
     collected: List[Tuple[int, ...]] = list(partial_codes or [])
-    for p in enumerate_raw_shadows(n, budget, resume_token, collected):
+    for p in enumerate_raw_shadows(n, budget, resume_token, collected, fold_mirror):
         if not p.is_prime():
             continue
         code = canonical_projection_code(p, fold_mirror)
+        if code != tuple(p.alpha):
+            raise InternalConsistencyError(
+                f"the search yielded a shadow that is not in canonical form at n = {n}")
         if code not in seen:
-            seen[code] = TripleProjection(list(code), n)
+            seen[code] = p
             collected.append(code)
     return _m_orbit_representatives(seen, fold_mirror)
 

@@ -100,7 +100,7 @@ def _sub_diagram(
             alpha[4 * index[c] + s] = 4 * index[e // 4] + e % 4
     sub_tails = tails and frozenset(
         4 * index[d // 4] + d % 4 for d in tails if d // 4 in index)
-    sub_flips = frozenset(index[f] for f in flips if f in index)
+    sub_flips = flips and frozenset(index[f] for f in flips if f in index)
     return DoubleDiagram(alpha, len(crossings)), sub_tails, sub_flips
 
 
@@ -150,9 +150,10 @@ def smooth(
     for d, e in pairs:
         alpha[relabel(d)] = relabel(e)
         alpha[relabel(e)] = relabel(d)
-    # an empty orientation is passed on, not copied: it sits in every memo key
+    # an empty orientation or flip set is passed on, not copied: it sits in
+    # every memo key
     new_tails = tails and frozenset(relabel(d) for d in tails if d // 4 != c)
-    new_flips = frozenset(f - 1 if f > c else f for f in flips if f != c)
+    new_flips = flips and frozenset(f - 1 if f > c else f for f in flips if f != c)
     return DoubleDiagram(alpha, dd.n - 1), new_tails, new_flips, loops
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from tricross import (
     TripleDiagram,
@@ -35,32 +36,40 @@ def brute_force_isomorphic(p, q, allow_mirror):
     return try_maps(False) or (allow_mirror and try_maps(True))
 
 
+def relabel(p, perm, rots, reflect):
+    """``p`` with crossing ``c`` renamed ``perm[c]`` and its slots rotated by
+    ``rots[c]``, and reflected when ``reflect`` (the maps tried above)."""
+    def phi(d):
+        c, s = d // 6, d % 6
+        s2 = (rots[c] - s) % 6 if reflect else (s + rots[c]) % 6
+        return 6 * perm[c] + s2
+    alpha = [0] * (6 * p.n)
+    for d in range(6 * p.n):
+        alpha[phi(d)] = phi(p.alpha[d])
+    return TripleProjection(alpha, p.n)
+
+
 def _check_codes_vs_brute_force(n):
-    shadows = list(enumerate_raw_shadows(n))
-    groups = {}
-    for p in shadows:
-        groups.setdefault(canonical_projection_code(p, fold_mirror=False), []).append(p)
-    # same code -> isomorphic (every member against its representative)
-    for members in groups.values():
-        rep = members[0]
-        for q in members[1:]:
-            assert brute_force_isomorphic(rep, q, allow_mirror=False)
-    # different code -> not isomorphic without mirroring
-    reps = [members[0] for members in groups.values()]
-    for a, b in itertools.combinations(reps, 2):
-        assert not brute_force_isomorphic(a, b, allow_mirror=False)
-    # the mirror-folded quotient agrees with brute force allowing reflection
-    folded = {}
-    for code, members in groups.items():
-        folded.setdefault(
-            canonical_projection_code(members[0], fold_mirror=True), []
-        ).append(members[0])
-    for members in folded.values():
-        rep = members[0]
-        for q in members[1:]:
-            assert brute_force_isomorphic(rep, q, allow_mirror=True)
-    for a, b in itertools.combinations([m[0] for m in folded.values()], 2):
-        assert not brute_force_isomorphic(a, b, allow_mirror=True)
+    # the search yields one shadow per class; two seeded random relabellings
+    # of each (one of them reflected for the mirror-folded check) give the
+    # classes distinct labellings to compare
+    rng = random.Random(n)
+    shadows = list(enumerate_raw_shadows(n, fold_mirror=False))
+    for fold in (False, True):
+        groups = {}
+        for p in shadows:
+            for reflect in (None, False, fold):
+                q = p if reflect is None else relabel(
+                    p, rng.sample(range(n), n), [rng.randrange(6) for _ in range(n)],
+                    reflect)
+                groups.setdefault(canonical_projection_code(q, fold), []).append(q)
+        # same code -> isomorphic (every member against its representative)
+        for members in groups.values():
+            for q in members[1:]:
+                assert brute_force_isomorphic(members[0], q, allow_mirror=fold)
+        # different code -> not isomorphic
+        for a, b in itertools.combinations([m[0] for m in groups.values()], 2):
+            assert not brute_force_isomorphic(a, b, allow_mirror=fold)
 
 
 def test_canonical_code_completeness_n2():

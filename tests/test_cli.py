@@ -57,7 +57,7 @@ def test_enumerate_resume_keeps_partial_records(tmp_path):
     token = tmp_path / "resume.json"
     token.write_text("")
     legs = []
-    for leg, budget in enumerate((["--max-nodes", "300000"], ["--max-nodes", "300000"], [])):
+    for leg, budget in enumerate((["--max-nodes", "150000"], ["--max-nodes", "150000"], [])):
         out = tmp_path / f"leg{leg}.jsonl"
         code = main(["enumerate", "--n", "4", "--out", str(out),
                      "--resume", str(token)] + budget)

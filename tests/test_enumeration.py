@@ -1,10 +1,12 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tricross import (
     Budget,
     BudgetExceeded,
+    DiagramError,
     DoubleDiagram,
     KnotClass,
     classify,
@@ -20,15 +22,28 @@ from tricross import (
     rational_knot_pd,
 )
 from tricross import enumeration
-from tricross.canon import canonical_diagram_code
+from tricross.canon import canonical_diagram_code, canonical_projection_code
 from tricross.enumeration import _mark_composites
 from tricross.laurent import HalfLaurent, Laurent2
 from conftest import W_31_41, W_41_41, W_SQUARE
 
 
 def test_raw_shadow_counts_small():
-    assert len(list(enumerate_raw_shadows(2))) == 24
-    assert len(list(enumerate_raw_shadows(3))) == 456
+    assert len(list(enumerate_raw_shadows(2))) == 3
+    assert len(list(enumerate_raw_shadows(3))) == 16
+
+
+# shadows up to relabelling (and reflection, when folded): the distinct
+# canonical codes among the 24, 456 and 11,036 labelled shadows that a
+# search without the canonicity prune reaches
+@pytest.mark.parametrize("fold_mirror, counts", [(True, (3, 16, 263)),
+                                                 (False, (4, 26, 502))])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_search_yields_each_class_once_in_canonical_form(n, fold_mirror, counts):
+    shadows = list(enumerate_raw_shadows(n, fold_mirror=fold_mirror))
+    for p in shadows:
+        assert tuple(p.alpha) == canonical_projection_code(p, fold_mirror)
+    assert len({tuple(p.alpha) for p in shadows}) == len(shadows) == counts[n - 2]
 
 
 def test_projection_counts_small():
@@ -51,6 +66,28 @@ def test_budget_and_resume_roundtrip():
         3, resume_token=exc.resume_token,
         partial_codes=[tuple(c) for c in exc.partial])
     assert len(done) == 2
+    # the search depends on the mirror setting, and so does its token
+    with pytest.raises(DiagramError):
+        enumerate_projections(3, fold_mirror=False, resume_token=exc.resume_token)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(500, 6400))
+def test_node_budget_stops_resume_to_the_full_search(max_nodes):
+    # the n = 3 search tries about 6,400 pairings; stop every max_nodes of
+    # them and resume from the token and the partial codes until done
+    token, partial = None, []
+    for _ in range(20):
+        try:
+            done = enumerate_projections(
+                3, budget=Budget(max_nodes=max_nodes), resume_token=token,
+                partial_codes=partial)
+            break
+        except BudgetExceeded as exc:
+            token, partial = exc.resume_token, [tuple(c) for c in exc.partial]
+    else:
+        pytest.fail(f"no progress at max_nodes = {max_nodes}")
+    assert [p.alpha for p in done] == [p.alpha for p in enumerate_projections(3)]
 
 
 @pytest.mark.parametrize("wall_secs, stage", [(0.5, "search"), (1.5, "classify")])
