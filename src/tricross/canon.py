@@ -150,19 +150,15 @@ def canonical_form(
 ) -> Union[TripleProjection, TripleDiagram]:
     """Rebuild the object with the canonical labeling applied."""
     if isinstance(obj, TripleDiagram):
-        return _rebuild_diagram(obj, fold_mirror)
-    code = canonical_projection_code(obj, fold_mirror)
-    return _projection_from_code(code, obj.n)
+        return _diagram_from_code(canonical_diagram_code(obj, fold_mirror), obj.n)
+    return _projection_from_code(canonical_projection_code(obj, fold_mirror), obj.n)
 
 
 def _projection_from_code(code: Tuple[int, ...], n: int) -> TripleProjection:
-    alpha = list(code)
-    return TripleProjection(alpha, n)
+    return TripleProjection(code, n)
 
 
-def _rebuild_diagram(diagram: TripleDiagram, fold_mirror: bool) -> TripleDiagram:
-    n = diagram.n
-    if n == 0:
-        return TripleDiagram.unknot()
-    code, words = canonical_diagram_code(diagram, fold_mirror)
-    return TripleDiagram(TripleProjection(list(code), n), list(words))
+def _diagram_from_code(code: Tuple, n: int) -> TripleDiagram:
+    """The diagram that a ``canonical_diagram_code`` describes, so labeled."""
+    alpha, words = code
+    return TripleDiagram(TripleProjection(alpha, n), words)

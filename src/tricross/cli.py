@@ -160,11 +160,11 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 
 def cmd_classify(cfg: RunConfig) -> int:
     try:
-        run = classify(cfg.n, cfg.fold_mirror, cfg.budget())
+        run = classify(cfg.n, cfg.budget())
     except BudgetExceeded as exc:
-        out = _open_out(cfg.out)
-        _emit(out, json.dumps({"type": "resume", "n": exc.n, "stage": exc.stage,
-                               "token": exc.resume_token}))
+        lines = _run_records(exc.run) + [json.dumps(
+            {"type": "resume", "n": exc.n, "stage": exc.stage, "token": exc.resume_token})]
+        _emit(_open_out(cfg.out), "\n".join(lines))
         return EXIT_PARTIAL
     _emit(_open_out(cfg.out), "\n".join(_run_records(run)))
     return EXIT_OK
@@ -253,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", dest="fmt", default="json",
-                       choices=["json", "csv", "latex"])
 
     p_inv = sub.add_parser("invariants", help="invariants of one sPD diagram")
     p_inv.add_argument("spd_file")
@@ -274,13 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--n", type=int, required=True)
     p_cls.add_argument("--budget-secs", type=float, default=None)
     p_cls.add_argument("--max-nodes", type=int, default=None)
-    p_cls.add_argument("--fold-mirror", dest="fold_mirror",
-                       action=argparse.BooleanOptionalAction, default=True)
     common(p_cls)
 
     p_rep = sub.add_parser("report", help="count table and conjecture report")
     p_rep.add_argument("run_file", nargs="?", default=None,
                        help="JSONL artifact from classify")
+    p_rep.add_argument("--format", dest="fmt", default="json",
+                       choices=["json", "csv", "latex"])
     common(p_rep)
 
     p_tikz = sub.add_parser("tikz", help="TikZ picture of one sPD diagram")
@@ -297,7 +295,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         budget_secs=getattr(args, "budget_secs", None),
         max_nodes=getattr(args, "max_nodes", None),
         fold_mirror=getattr(args, "fold_mirror", True),
-        fmt=args.fmt,
+        fmt=getattr(args, "fmt", "json"),
         out=args.out,
         resume=getattr(args, "resume", None),
     )

@@ -32,10 +32,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .alexander import alexander
 from .canon import (
+    _RANK_REVERSE,
+    _diagram_from_code,
     _extend_trace,
     _start_trace,
     canonical_diagram_code,
-    canonical_form,
     canonical_projection_code,
 )
 from .jones import jones_triple_batch
@@ -57,7 +58,10 @@ class Budget:
 class BudgetExceeded(RuntimeError):
     """Raised when a budget expires at crossing count ``n`` in ``stage``
     (``"search"`` or ``"classify"``); carries partial results and, for a stop
-    in the search, a resume token."""
+    in the search, a resume token.  A stop inside ``classify`` also carries
+    the ``ClassifyRun`` of the n's finished before it as ``run``."""
+
+    run: Optional["ClassifyRun"] = None
 
     def __init__(self, message: str, partial: list, resume_token: Optional[str],
                  n: int, stage: str) -> None:
@@ -348,16 +352,25 @@ def _m_orbit_representatives(
     return [seen[code] for code in reps]
 
 
+def _diagram_codes(p: TripleProjection) -> Dict[Tuple[str, ...], Tuple]:
+    """The unfolded ``canonical_diagram_code`` of each height word on ``p``."""
+    return {words: canonical_diagram_code(TripleDiagram(p, words), fold_mirror=False)
+            for words in itertools.product(HEIGHT_WORDS, repeat=p.n)}
+
+
+def _first_words(codes: Dict[Tuple[str, ...], Tuple]) -> Dict[Tuple, Tuple[str, ...]]:
+    """Each distinct code with the first height words that have it."""
+    first: Dict[Tuple, Tuple[str, ...]] = {}
+    for words, code in codes.items():
+        first.setdefault(code, words)
+    return first
+
+
 def enumerate_diagrams(p: TripleProjection) -> List[TripleDiagram]:
     """All height assignments on a knot projection, deduplicated up to
     relabeling (mirror images kept distinct)."""
-    seen = {}
-    for words in itertools.product(HEIGHT_WORDS, repeat=p.n):
-        d = TripleDiagram(p, list(words))
-        code = canonical_diagram_code(d, fold_mirror=False)
-        if code not in seen:
-            seen[code] = d
-    return [seen[c] for c in sorted(seen)]
+    first = _first_words(_diagram_codes(p))
+    return [TripleDiagram(p, first[code]) for code in sorted(first)]
 
 
 ClassKey = Tuple[str, str, Optional[str]]
@@ -398,32 +411,22 @@ class ClassifyRun:
     classes: Dict[ClassKey, KnotClass] = field(default_factory=dict)
 
 
-def _project_classes(
-    p: TripleProjection, n: int
-) -> List[Tuple[Tuple[str, str], TripleDiagram]]:
-    """(folded Jones, Alexander) of every distinct diagram on one projection."""
-    words_list = list(itertools.product(HEIGHT_WORDS, repeat=n))
-    jones_all = jones_triple_batch(p, words_list)
-    by_diagram: Dict[Tuple, Tuple[HalfLaurent, Tuple[str, ...]]] = {}
-    for words, v in zip(words_list, jones_all):
-        d = TripleDiagram(p, list(words))
-        dc = canonical_diagram_code(d, fold_mirror=False)
-        if dc not in by_diagram:
-            by_diagram[dc] = (v, words)
-    out = []
-    for v, words in by_diagram.values():
-        d = TripleDiagram(p, list(words))
-        a = alexander(convert_to_double(d))
-        out.append(((fold_jones(v), str(a)), d))
-    return out
+def _project_classes(p: TripleProjection, n: int) -> Iterator[tuple]:
+    """(folded Jones, Alexander), unfolded code, mirror-folded code and
+    deconstruction of every distinct diagram on one projection, one at a
+    time.  A diagram's mirror views are its T <-> B swap's own views, so
+    its folded code is the smaller of the two unfolded codes."""
+    codes = _diagram_codes(p)
+    first = _first_words(codes)
+    words_list = list(first.values())
+    for words, v in zip(words_list, jones_triple_batch(p, words_list)):
+        code = codes[words]
+        mirror_class = min(code, codes[tuple(w.translate(_RANK_REVERSE) for w in words)])
+        dd = convert_to_double(TripleDiagram(p, words))
+        yield (fold_jones(v), str(alexander(dd))), code, mirror_class, dd
 
 
-def classify(
-    max_n: int,
-    fold_mirror: bool = True,
-    budget: Optional[Budget] = None,
-    projections_by_n: Optional[Dict[int, List[TripleProjection]]] = None,
-) -> ClassifyRun:
+def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
     """Enumerate diagrams for n = 2..max_n and group them into knot classes.
 
     The unknot (Jones and Alexander both 1) is discarded.  Classes are keyed
@@ -440,9 +443,9 @@ def classify(
     A one-off sweep of F over all 4,967 (about 45 CPU-minutes) found none.
     A diagram and its mirror image have the same folded F (F's mirror is
     a -> 1/a), so F is evaluated once per class of
-    ``canonical_diagram_code(d, fold_mirror=True)`` and reused for the rest:
-    257 evaluations for the 497 diagrams at n = 4, counted in
-    ``kauffman_evals_per_n``.
+    ``canonical_diagram_code(d, fold_mirror=True)``, on the deconstruction
+    that Alexander used, and reused for the rest: 257 evaluations for the
+    497 diagrams at n = 4, counted in ``kauffman_evals_per_n``.
 
     Classes whose invariants factor as a product over smaller classes are
     flagged ``composite`` but stay in the census — flagged, never dropped.
@@ -450,7 +453,8 @@ def classify(
     ``budget.wall_secs`` is one deadline for the whole call: the projection
     search of each n gets what is left of it, and the classification checks
     it before each projection.  ``BudgetExceeded`` names the n and the stage
-    of the stop; a stop in classification has no resume token.
+    of the stop and carries, as ``run``, the classes of the n's finished
+    before it; a stop in classification has no resume token.
     """
     from .spd import serialize_spd
 
@@ -459,39 +463,43 @@ def classify(
     deadline = None
     if budget is not None and budget.wall_secs is not None:
         deadline = time.monotonic() + budget.wall_secs
-    for n in range(2, max_n + 1):
-        if projections_by_n and n in projections_by_n:
-            projections = projections_by_n[n]
-        else:
+    try:
+        for n in range(2, max_n + 1):
             search_budget = budget
             if deadline is not None:
                 search_budget = replace(budget, wall_secs=deadline - time.monotonic())
-            projections = enumerate_projections(n, fold_mirror, search_budget)
-        run.projections_per_n[n] = len(projections)
-        older_pairs = {key[:2] for key in run.classes}
-        folded_f: Dict[Tuple, str] = {}
-        new_here = 0
-        for p in projections:
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceeded("time budget exhausted", [], None, n, "classify")
-            for pair, d in _project_classes(p, n):
-                if pair == unknot_pair or pair in older_pairs:
-                    continue
-                mirror_class = canonical_diagram_code(d, fold_mirror=True)
-                if mirror_class not in folded_f:
-                    folded_f[mirror_class] = fold_kauffman(kauffman_f(convert_to_double(d)))
-                key = pair + (folded_f[mirror_class],)
-                if key not in run.classes:
-                    run.classes[key] = KnotClass(
-                        jones_folded=key[0],
-                        alexander=key[1],
-                        c3=n,
-                        witness_spd=serialize_spd(canonical_form(d)),
-                        kauffman_folded=key[2],
-                    )
-                    new_here += 1
-        run.new_knots_per_n[n] = new_here
-        run.kauffman_evals_per_n[n] = len(folded_f)
+            projections = enumerate_projections(n, budget=search_budget)
+            run.projections_per_n[n] = len(projections)
+            older_pairs = {key[:2] for key in run.classes}
+            folded_f: Dict[Tuple, str] = {}
+            new_here = 0
+            for p in projections:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise BudgetExceeded("time budget exhausted", [], None, n, "classify")
+                for pair, code, mirror_class, dd in _project_classes(p, n):
+                    if pair == unknot_pair or pair in older_pairs:
+                        continue
+                    if mirror_class not in folded_f:
+                        folded_f[mirror_class] = fold_kauffman(kauffman_f(dd))
+                    key = pair + (folded_f[mirror_class],)
+                    if key not in run.classes:
+                        run.classes[key] = KnotClass(
+                            jones_folded=key[0],
+                            alexander=key[1],
+                            c3=n,
+                            witness_spd=serialize_spd(_diagram_from_code(code, n)),
+                            kauffman_folded=key[2],
+                        )
+                        new_here += 1
+            run.new_knots_per_n[n] = new_here
+            run.kauffman_evals_per_n[n] = len(folded_f)
+    except BudgetExceeded as exc:
+        # keep what the n's before the stop found
+        run.projections_per_n.pop(exc.n, None)
+        run.classes = {key: kc for key, kc in run.classes.items() if kc.c3 < exc.n}
+        _mark_composites(run.classes)
+        exc.run = run
+        raise
     _mark_composites(run.classes)
     return run
 

@@ -17,7 +17,6 @@ Double (classical, 4-valent) diagrams use the same scheme with darts
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 HEIGHT_LETTERS = ("T", "M", "B")
@@ -40,10 +39,6 @@ class InternalConsistencyError(RuntimeError):
 def t_sigma(d: int) -> int:
     """Rotation: next dart counterclockwise around the crossing."""
     return 6 * (d // 6) + (d % 6 + 1) % 6
-
-
-def t_sigma_inv(d: int) -> int:
-    return 6 * (d // 6) + (d % 6 - 1) % 6
 
 
 def t_opposite(d: int) -> int:
@@ -161,10 +156,6 @@ class TripleProjection:
             return 1
         return len(self.strand_components())
 
-    def edges(self) -> List[Tuple[int, int]]:
-        """Edges as dart pairs ``(d, alpha[d])`` with ``d < alpha[d]``."""
-        return [(d, self.alpha[d]) for d in range(6 * self.n) if d < self.alpha[d]]
-
     def is_prime(self) -> bool:
         """No 2-edge cut with crossings on both sides."""
         n = self.n
@@ -240,9 +231,6 @@ class TripleDiagram:
         self.projection.validate()
         if self.projection.num_components() != 1:
             raise DiagramError("not a knot: more than one link component")
-
-    def height_of_dart(self, d: int) -> str:
-        return self.heights[d // 6][d % 6 % 3]
 
     def mirror(self) -> "TripleDiagram":
         """Planar reflection: rotations reverse, strands 1 and 2 swap slots."""

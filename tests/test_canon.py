@@ -7,11 +7,14 @@ from tricross import (
     canonical_form,
     canonical_projection_code,
     diagrams_equivalent,
+    enumerate_projections,
     enumerate_raw_shadows,
     parse_spd,
     projections_isomorphic,
     serialize_spd,
 )
+from tricross.canon import _diagram_from_code
+from tricross.enumeration import HEIGHT_WORDS
 from tricross.maps import TripleProjection
 from conftest import T2_1, T2_2
 
@@ -117,3 +120,24 @@ def test_canonical_form_is_stable():
     d = parse_spd(T2_2)
     c = canonical_form(d)
     assert serialize_spd(canonical_form(c)) == serialize_spd(c)
+
+
+def test_folded_code_and_rebuild_from_unfolded_codes():
+    # the facts the census pass relies on, for every height word on the
+    # n <= 3 projections: the folded code is the smaller of the unfolded
+    # codes of the word and of its T <-> B swap, and the diagram rebuilt
+    # from the unfolded code is the canonical form
+    swap = str.maketrans("TB", "BT")
+    words_seen = 0
+    for n in (2, 3):
+        for p in enumerate_projections(n):
+            for words in itertools.product(HEIGHT_WORDS, repeat=n):
+                d = TripleDiagram(p, words)
+                code = canonical_diagram_code(d)
+                swapped = canonical_diagram_code(
+                    TripleDiagram(p, [w.translate(swap) for w in words]))
+                assert canonical_diagram_code(d, fold_mirror=True) == min(code, swapped)
+                assert serialize_spd(_diagram_from_code(code, n)) == serialize_spd(
+                    canonical_form(d))
+                words_seen += 1
+    assert words_seen == 468

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tricross.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -102,8 +104,23 @@ def test_classify_budget_stop_names_n_and_stage(tmp_path, projection_clock):
     out = tmp_path / "run.jsonl"
     code = main(["classify", "--n", "3", "--budget-secs", "1.5", "--out", str(out)])
     assert code == EXIT_PARTIAL
-    assert read_jsonl(out) == [
-        {"type": "resume", "n": 3, "stage": "classify", "token": None}]
+    # the finished n = 2 census is written before the stop record, exactly
+    # as an uninterrupted ``classify --n 2`` writes it
+    records = read_jsonl(out)
+    full = tmp_path / "n2.jsonl"
+    assert main(["classify", "--n", "2", "--out", str(full)]) == EXIT_OK
+    assert records[:-1] == read_jsonl(full)
+    assert records[0] == {"type": "row", "n": 2, "projections": 1, "knots": 2}
+    assert [(r["type"], r["c3"]) for r in records[1:-1]] == [("class", 2)] * 2
+    assert records[-1] == {"type": "resume", "n": 3, "stage": "classify", "token": None}
+
+
+@pytest.mark.parametrize("argv", [["invariants", "d.spd"], ["enumerate", "--n", "2"],
+                                  ["classify", "--n", "2"], ["tikz", "d.spd"]])
+def test_format_is_only_a_report_option(argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv + ["--format", "csv"])
+    assert exc_info.value.code == 2  # argparse's usage error
 
 
 def test_report_formats(tmp_path):

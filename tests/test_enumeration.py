@@ -100,6 +100,9 @@ def test_classify_budget_is_one_deadline(projection_clock, wall_secs, stage):
     assert (exc.n, exc.stage) == (3, stage)
     assert (exc.resume_token is None) == (stage == "classify")
     assert f"at n = 3 in the {stage} stage" in str(exc)
+    # the stop keeps the finished n = 2 census and drops the stopped n
+    assert count_table(exc.run) == [(2, 1, 2)]
+    assert sorted(kc.c3 for kc in exc.run.classes.values()) == [2, 2]
 
 
 def test_enumerate_diagrams_deduplicates():
@@ -108,6 +111,36 @@ def test_enumerate_diagrams_deduplicates():
     assert 0 < len(diagrams) <= 36
     assert len({str(d.heights) + str(d.projection.alpha) for d in diagrams}) == len(
         diagrams)
+
+
+def test_enumerate_diagrams_counts_distinct_diagrams():
+    counts = []
+    for n in (2, 3):
+        diagrams = [d for p in enumerate_projections(n) for d in enumerate_diagrams(p)]
+        codes = [canonical_diagram_code(d) for d in diagrams]
+        assert len(set(codes)) == len(codes)
+        counts.append(len(diagrams))
+    assert counts == [21, 330]
+
+
+def test_classify_canonicalises_each_word_once(monkeypatch):
+    # 36 + 2 * 216 height words on the n <= 3 projections, 21 + 330 of them
+    # distinct diagrams
+    calls = Counter()
+
+    def counted(name, fn, size=lambda *args: 1):
+        def wrapper(*args, **kwargs):
+            calls[name] += size(*args)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(enumeration, name, wrapper)
+
+    counted("canonical_diagram_code", canonical_diagram_code)
+    counted("convert_to_double", convert_to_double)
+    counted("jones_triple_batch", enumeration.jones_triple_batch,
+            lambda p, words: len(words))
+    classify(3)
+    assert calls == {"canonical_diagram_code": 468, "convert_to_double": 351,
+                     "jones_triple_batch": 351}
 
 
 def test_fold_jones_symmetric():
