@@ -7,7 +7,6 @@ from .canon import (
     canonical_form,
     canonical_projection_code,
     diagrams_equivalent,
-    projections_isomorphic,
 )
 from .enumeration import (
     Budget,

@@ -129,14 +129,6 @@ def canonical_diagram_code(
     return best
 
 
-def projections_isomorphic(
-    p: TripleProjection, q: TripleProjection, fold_mirror: bool = True
-) -> bool:
-    return canonical_projection_code(p, fold_mirror) == canonical_projection_code(
-        q, fold_mirror
-    )
-
-
 def diagrams_equivalent(
     d: TripleDiagram, e: TripleDiagram, fold_mirror: bool = False
 ) -> bool:

@@ -435,12 +435,12 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
     knots: at n = 4 the 5_1 key and the 4_1 # 4_1 key each hold two classes
     that only F tells apart, giving 27 classes at c3 = 4 (24 unflagged).
 
-    F is costly (about 0.5 s per 12-crossing diagram), so it is computed only
-    for diagrams whose (Jones, Alexander) pair is first realized at the
-    current n: 497 of the 4,967 nontrivial diagrams at n = 4.  A diagram whose
-    pair was already realized at a smaller n joins that pair's classes
-    unrefined, so a second knot hiding behind an older pair is not detected.
-    A one-off sweep of F over all 4,967 (about 45 CPU-minutes) found none.
+    F is computed only for diagrams whose (Jones, Alexander) pair is first
+    realized at the current n: 497 of the 4,967 nontrivial diagrams at
+    n = 4.  A diagram whose pair was already realized at a smaller n joins
+    that pair's classes unrefined, so a second knot hiding behind an older
+    pair is not detected; at n = 4 a sweep of F over all 4,967 finds none
+    (``test_census_n4_kauffman_sweep_of_every_diagram``).
     A diagram and its mirror image have the same folded F (F's mirror is
     a -> 1/a), so F is evaluated once per class of
     ``canonical_diagram_code(d, fold_mirror=True)``, on the deconstruction

@@ -5,7 +5,9 @@ split union multiplies by ``delta = (a - a^-1) / z`` per extra component.
 The recursion (:mod:`tricross.skein`) walks the oriented diagram component by
 component, switches the first crossing whose first visit is on the
 under-strand, and smooths it along the orientation; a diagram with no such
-crossing is descending and therefore an unlink.
+crossing is descending and therefore an unlink.  Every state is first reduced
+by Reidemeister I and same-level II moves, which leave HOMFLY unchanged, so
+the engine's kink writhe is ignored.
 
 Work is bounded by an explicit budget on skein-tree nodes; exceeding it (or
 starting from a diagram above ``max_crossings``) raises ``BudgetError``.

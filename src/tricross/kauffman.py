@@ -10,10 +10,12 @@ polynomial is ``F(L) = a^-w Lambda(L)`` (knots only here, so the writhe is
 orientation-free).
 
 The recursion (:mod:`tricross.skein`) is unoriented: each component is
-walked from its smallest dart.  A diagram whose every crossing is first
-reached on its over-strand is a stack of curled unknots; its Lambda is
-``delta^(k-1)`` times ``a`` to the sum of self-writhes.  Otherwise the first
-offending crossing is switched (toward descending) and smoothed both ways.
+walked from its smallest dart.  Every state is first reduced: a kink of sign
+``e`` is removed for a factor ``a^e`` and a same-level bigon for none.  A
+diagram whose every crossing is first reached on its over-strand is a stack
+of curled unknots; its Lambda is ``delta^(k-1)`` times ``a`` to the sum of
+self-writhes.  Otherwise the first offending crossing is switched (toward
+descending) and smoothed both ways.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ def _self_writhe(dd: DoubleDiagram, flips: Flips) -> int:
 
 class _Kauffman(Engine):
     delta = DELTA_K
+
+    def kinked(self, value: Laurent2, kinks: int) -> Laurent2:
+        return value.scale(1, kinks, 0) if kinks else value
 
     def connected(self, dd: DoubleDiagram, tails: Darts, flips: Flips) -> Laurent2:
         bad = first_bad_crossing(dd, tails, flips)

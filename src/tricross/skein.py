@@ -13,10 +13,17 @@ exchanged relative to ``dd``.  A switch only toggles ``flips``, so the shadow
 and the traversal never change and every switch strictly reduces the number
 of crossings first reached from below.
 
+Every state is first reduced (:func:`reduce`): Reidemeister I kinks and
+Reidemeister II bigons whose one strand is over at both crossings are
+removed until none is left (Ewing and Millett 1997).  HOMFLY is unchanged
+by both moves; the regular-isotopy Kauffman Lambda is unchanged by R2 and
+gains a factor ``a`` or ``a^-1`` per kink, by the kink's sign.
+
 :class:`Engine` splits disconnected crossing graphs (a factor ``delta`` per
-extra part), memoises states and bounds work by a budget on recursion nodes;
-exceeding it raises ``BudgetError``.  A subclass supplies ``delta`` and the
-skein rule for a connected diagram.
+extra part), memoises reduced states and bounds work by a budget on
+recursion nodes; exceeding it raises ``BudgetError``.  A subclass supplies
+``delta``, the factor of a kink writhe and the skein rule for a connected
+diagram.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .laurent import Laurent2
-from .maps import DoubleDiagram, d_opposite
+from .maps import DoubleDiagram, d_opposite, d_sigma
 
 Darts = FrozenSet[int]
 Flips = FrozenSet[int]
@@ -157,9 +164,68 @@ def smooth(
     return DoubleDiagram(alpha, dd.n - 1), new_tails, new_flips, loops
 
 
+def _uncross(x: int, y: int) -> Dict[int, int]:
+    """The passthrough that drops a crossing where darts ``x`` and ``y``
+    bound one face: each joins the dart opposite the other."""
+    ox, oy = d_opposite(x), d_opposite(y)
+    return {x: oy, oy: x, y: ox, ox: y}
+
+
+def _over(d: int, flips: Flips) -> bool:
+    return (d % 2 == 1) != (d // 4 in flips)
+
+
+def _next_move(dd: DoubleDiagram, flips: Flips) -> Optional[Tuple[int, List]]:
+    """The first kink, else the first same-level bigon, as its kink writhe
+    and the ``(crossing, passthrough)`` steps that remove it; None if the
+    diagram has neither."""
+    alpha = dd.alpha
+    for d in range(4 * dd.n):
+        e = alpha[d]
+        if d_sigma(e) == d:
+            # a monogon face: the strand leaves at e and comes back in at d;
+            # its sign, orientation-free, is +1 when it comes back in under
+            return (-1 if _over(d, flips) else 1), [(d // 4, _uncross(d, e))]
+    for d in range(4 * dd.n):
+        e = alpha[d]
+        f = d_sigma(e)
+        g = alpha[f]
+        if d_sigma(g) == d and d // 4 != e // 4 and _over(d, flips) == _over(e, flips):
+            # a bigon face with edges d-e and f-g, not a clasp: the strand on
+            # d-e is over (or under) at both of its crossings
+            steps = [(d // 4, _uncross(d, g)), (e // 4, _uncross(e, f))]
+            # drop the higher crossing first so the other keeps its labels
+            return 0, sorted(steps, key=lambda step: -step[0])
+    return None
+
+
+def reduce(
+    dd: DoubleDiagram, tails: Darts, flips: Flips
+) -> Tuple[DoubleDiagram, Darts, Flips, int, int]:
+    """Remove Reidemeister I kinks and same-level Reidemeister II bigons
+    until there are none.
+
+    A bigon is removed only when the strand on one of its edges is over at
+    both of its crossings; a clasp is kept.  Returns the reduced state, the
+    kink writhe (the summed orientation-free signs of the kinks removed) and
+    the number of circles freed.
+    """
+    kinks = loops = 0
+    move = _next_move(dd, flips)
+    while move is not None:
+        sign, steps = move
+        kinks += sign
+        for c, through in steps:
+            dd, tails, flips, freed = smooth(dd, tails, flips, c, through)
+            loops += freed
+        move = _next_move(dd, flips)
+    return dd, tails, flips, kinks, loops
+
+
 class Engine:
-    """Memoised, node-budgeted recursion; subclasses set ``delta`` and
-    implement ``connected``."""
+    """Memoised, node-budgeted recursion on reduced states; subclasses set
+    ``delta`` and implement ``connected``, and Kauffman's overrides
+    ``kinked``."""
 
     delta: Laurent2
 
@@ -176,27 +242,40 @@ class Engine:
             )
         if dd.n == 0:
             return Laurent2.one()
+        dd, tails, flips, kinks, loops = reduce(dd, tails, flips)
         key = (dd.alpha, tails, flips)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
+        result = self.memo.get(key)
+        if result is None:
+            result = self._expand(dd, tails, flips)
+            self.memo[key] = result
+        return self.kinked(self._with_circles(result, dd.n, loops), kinks)
+
+    def _expand(self, dd: DoubleDiagram, tails: Darts, flips: Flips) -> Laurent2:
+        if dd.n == 0:
+            return Laurent2.one()
         parts = _split_crossings(dd)
-        if len(parts) > 1:
-            result = self.delta ** (len(parts) - 1)
-            for crossings in parts:
-                result = result * self.eval(*_sub_diagram(dd, tails, flips, crossings))
-        else:
-            result = self.connected(dd, tails, flips)
-        self.memo[key] = result
+        if len(parts) == 1:
+            return self.connected(dd, tails, flips)
+        result = self.delta ** (len(parts) - 1)
+        for crossings in parts:
+            result = result * self.eval(*_sub_diagram(dd, tails, flips, crossings))
         return result
+
+    def _with_circles(self, value: Laurent2, n: int, loops: int) -> Laurent2:
+        # free loops are extra split components, except that an empty diagram
+        # means one of them is the base circle itself
+        extra = loops if n else loops - 1
+        return value * self.delta**extra if extra else value
 
     def eval_smoothed(
         self, smoothed: DoubleDiagram, tails: Darts, flips: Flips, loops: int
     ) -> Laurent2:
-        # free loops are extra split components, except that an empty smoothed
-        # diagram means one of them is the base circle itself
-        extra = loops if smoothed.n else loops - 1
-        return self.eval(smoothed, tails, flips) * self.delta**extra
+        return self._with_circles(self.eval(smoothed, tails, flips), smoothed.n, loops)
+
+    def kinked(self, value: Laurent2, kinks: int) -> Laurent2:
+        """``value`` times the factor of a removed kink writhe; HOMFLY is an
+        ambient-isotopy invariant and ignores it."""
+        return value
 
     def connected(self, dd: DoubleDiagram, tails: Darts, flips: Flips) -> Laurent2:
         """The skein rule on a diagram whose crossing graph is connected."""

@@ -24,7 +24,6 @@ import pytest
 from tricross import (
     Budget,
     BudgetExceeded,
-    KnotClass,
     TripleDiagram,
     TripleProjection,
     alexander,
@@ -35,7 +34,6 @@ from tricross import (
     count_table,
     derive_triple_relation,
     enumerate_projections,
-    enumerate_raw_shadows,
     find_jr_sites,
     apply_move,
     identify,

@@ -10,7 +10,6 @@ from tricross import (
     enumerate_projections,
     enumerate_raw_shadows,
     parse_spd,
-    projections_isomorphic,
     serialize_spd,
 )
 from tricross.canon import _diagram_from_code

@@ -24,7 +24,7 @@ from tricross import (
 from tricross import enumeration
 from tricross.canon import canonical_diagram_code, canonical_projection_code
 from tricross.enumeration import _mark_composites
-from tricross.laurent import HalfLaurent, Laurent2
+from tricross.laurent import HalfLaurent, IntLaurent, Laurent2
 from conftest import W_31_41, W_41_41, W_SQUARE
 
 
@@ -235,6 +235,31 @@ def test_census_n4_kauffman_splits_two_keys(run_n4, reference):
         flags = sorted(kc.composite for kc in kcs)
         assert flags == ([False, False] if identify(pair, reference) else
                          [False, True])
+
+
+def test_census_n4_kauffman_sweep_of_every_diagram(run_n4, reference):
+    """F on every nontrivial n = 4 diagram, once per mirror class, splits
+    only the 5_1 and 4_1 # 4_1 (Jones, Alexander) keys: the census, which
+    runs F only on pairs first realized at n = 4, misses no class there."""
+    unknot = (fold_jones(HalfLaurent.one()), str(IntLaurent.from_int_coeffs({0: 1})))
+    folded_f = {}
+    fs_by_pair = {}
+    for p in enumerate_projections(4):
+        for pair, _, mirror_class, dd in enumeration._project_classes(p, 4):
+            if pair == unknot:
+                continue
+            if mirror_class not in folded_f:
+                folded_f[mirror_class] = fold_kauffman(kauffman_f(dd))
+            fs_by_pair.setdefault(pair, set()).add(folded_f[mirror_class])
+    split = {pair for pair, fs in fs_by_pair.items() if len(fs) > 1}
+    assert {identify(pair, reference) for pair in split} == {"5_1", None}
+    assert len(split) == 2
+    swept = {pair + (f,) for pair, fs in fs_by_pair.items() for f in fs}
+    assert swept <= set(run_n4.classes)
+    older = {kc.fingerprint[:2] for kc in run_n4.classes.values() if kc.c3 < 4}
+    at4 = {kc.fingerprint for kc in run_n4.classes.values() if kc.c3 == 4}
+    assert {key for key in swept if key[:2] not in older} == at4
+    assert len(at4) == 27
 
 
 def test_census_names_are_unique(run_n4, reference):
