@@ -5,8 +5,12 @@ Two independent routes compute V(K):
 * :func:`jones_triple` resolves every triple crossing directly into the five
   non-crossing matchings of its six ends, with per-matching coefficients
   produced symbolically by :func:`derive_triple_relation`;
-* :func:`bracket_jones` is the classical Kauffman bracket state sum with
-  writhe normalisation, evaluated on a deconstructed double diagram.
+* :func:`bracket_jones` is the classical Kauffman bracket with writhe
+  normalisation, evaluated on a deconstructed double diagram.  Its state
+  sum, :func:`kauffman_bracket`, contracts the diagram one crossing at a
+  time along a boundary and reads nothing but the diagram's gluing: it
+  calls no tangle or skein code, and :func:`derive_triple_relation` does
+  not call it.
 
 Agreement of the two routes on every diagram is one of the package's core
 acceptance checks.
@@ -81,46 +85,124 @@ class _DSU:
 # ---------------------------------------------------------------------------
 
 
+# Each smoothing as (A-exponent, slot involution): the A smoothing joins
+# slots (1,2) and (3,0), the 1/A smoothing (0,1) and (2,3).
+_SMOOTHINGS = ((1, (3, 2, 1, 0)), (-1, (1, 0, 3, 2)))
+
+
+def _contraction_order(alpha: Sequence[int], m: int) -> List[int]:
+    """Crossings in the order they are contracted: next is the unplaced one
+    with the most darts glued to placed crossings, lowest index on ties."""
+    placed = [False] * m
+    glued = [0] * m
+    order = []
+    for _ in range(m):
+        c = max((u for u in range(m) if not placed[u]), key=lambda u: (glued[u], -u))
+        placed[c] = True
+        order.append(c)
+        for d in range(4 * c, 4 * c + 4):
+            glued[alpha[d] >> 2] += 1
+    return order
+
+
 def kauffman_bracket(dd: DoubleDiagram) -> Dict[int, int]:
-    """State-sum bracket; returns a map from A-exponent to coefficient.
+    """Bracket polynomial; returns a map from A-exponent to coefficient.
 
     Smoothing convention for a crossing with the under-strand at slots 0, 2:
     the A smoothing joins darts (1,2) and (3,0), the 1/A smoothing joins
     (0,1) and (2,3).
+
+    The 2^m states are summed by contraction along a boundary.  Crossings
+    are added one at a time (:func:`_contraction_order`); the open ends are
+    the placed darts whose ``alpha`` partner is not placed yet, and the
+    partial states are grouped by how their arcs match the open ends up.
+    Each group keeps the number of its states per (A-exponent, closed
+    loops).  Adding a crossing follows each arc of each of its smoothings
+    through that matching; an arc that comes back to itself closes a loop.
+    The contraction reads only the diagram's gluing, not the triple-crossing
+    relation, so it stays an independent check on :func:`jones_triple`.
     """
     m = dd.n
     if m == 0:
         return {0: 1}
+    alpha = dd.alpha
+    placed = [False] * m
+    # open ends, in the same order for every group
+    frontier: List[int] = []
+    # partner of each open end -> {(A-exponent, closed loops): states}
+    groups: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {(): {(0, 0): 1}}
+    for c in _contraction_order(alpha, m):
+        at = {e: i for i, e in enumerate(frontier)}
+        kept = [i for i, e in enumerate(frontier) if alpha[e] >> 2 != c]
+        fresh = [d for d in range(4 * c, 4 * c + 4)
+                 if not placed[alpha[d] >> 2] and alpha[d] >> 2 != c]
+        new_frontier = [frontier[i] for i in kept] + fresh
+        new_at = {e: i for i, e in enumerate(new_frontier)}
+        nxt: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
+        for match, counts in groups.items():
+            # where the strand leaving slot s outward arrives: another slot
+            # of c (via[s]), or an open end that stays open (end[s])
+            via: List[int] = [-1] * 4
+            end: List[int] = [-1] * 4
+            for s in range(4):
+                d = 4 * c + s
+                a = alpha[d]
+                if a >> 2 == c:
+                    via[s] = a & 3
+                elif placed[a >> 2]:
+                    e = match[at[a]]
+                    if alpha[e] >> 2 == c:
+                        via[s] = alpha[e] & 3
+                    else:
+                        end[s] = e
+                else:
+                    end[s] = d
+            for a_step, inner in _SMOOTHINGS:
+                partner = [match[i] for i in kept] + [0] * len(fresh)
+                seen = [False] * 4
+                for s in range(4):
+                    if seen[s] or end[s] < 0:
+                        continue
+                    t = s
+                    while True:
+                        u = inner[t]
+                        seen[t] = seen[u] = True
+                        if end[u] >= 0:
+                            break
+                        t = via[u]
+                    partner[new_at[end[s]]] = end[u]
+                    partner[new_at[end[u]]] = end[s]
+                loops = 0
+                for s in range(4):
+                    if seen[s]:
+                        continue
+                    loops += 1
+                    t = s
+                    while not seen[t]:
+                        u = inner[t]
+                        seen[t] = seen[u] = True
+                        t = via[u]
+                acc = nxt.setdefault(tuple(partner), {})
+                for (a_exp, closed), k in counts.items():
+                    key = (a_exp + a_step, closed + loops)
+                    acc[key] = acc.get(key, 0) + k
+        groups = nxt
+        placed[c] = True
+        frontier = new_frontier
+    # expand each count times A^a_exp (-A^2 - A^-2)^(loops - 1)
+    (counts,) = groups.values()
     total: Dict[int, int] = {}
-    delta_exps = (2, -2)  # -A^2 - A^-2, applied as a polynomial below
-    for state in range(1 << m):
-        dsu = _DSU(4 * m)
-        for d in range(4 * m):
-            dsu.union(d, dd.alpha[d])
-        a_exp = 0
-        for c in range(m):
-            if state >> c & 1:  # A smoothing
-                a_exp += 1
-                dsu.union(4 * c + 1, 4 * c + 2)
-                dsu.union(4 * c + 3, 4 * c + 0)
-            else:
-                a_exp -= 1
-                dsu.union(4 * c + 0, 4 * c + 1)
-                dsu.union(4 * c + 2, 4 * c + 3)
-        loops = dsu.class_count()
-        # multiply A^a_exp by (-A^2 - A^-2)^(loops - 1)
-        poly = {a_exp: 1}
+    for (a_exp, loops), k in counts.items():
+        poly = {a_exp: k}
         for _ in range(loops - 1):
-            nxt: Dict[int, int] = {}
+            nxt_poly: Dict[int, int] = {}
             for e, v in poly.items():
-                for de in delta_exps:
-                    nxt[e + de] = nxt.get(e + de, 0) - v
-            poly = nxt
+                for de in (2, -2):
+                    nxt_poly[e + de] = nxt_poly.get(e + de, 0) - v
+            poly = nxt_poly
         for e, v in poly.items():
             total[e] = total.get(e, 0) + v
-            if not total[e]:
-                del total[e]
-    return total
+    return {e: v for e, v in total.items() if v}
 
 
 def _bracket_to_half_laurent(bracket: Dict[int, int], writhe: int) -> HalfLaurent:
@@ -136,7 +218,9 @@ def _bracket_to_half_laurent(bracket: Dict[int, int], writhe: int) -> HalfLauren
 
 
 def bracket_jones(dd: DoubleDiagram, tails: FrozenSet[int] | None = None) -> HalfLaurent:
-    """Jones polynomial of a knot diagram via the bracket oracle."""
+    """Jones polynomial of a knot diagram via the bracket oracle: the
+    contracted :func:`kauffman_bracket`, times (-A)^(-3w), at A = t^(-1/4).
+    Independent of the triple-crossing relation."""
     if dd.n == 0:
         return HalfLaurent.one()
     if tails is None:

@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-The expensive full classification (n <= 4, about three minutes) is computed
+The expensive full classification (n <= 4, about one minute) is computed
 once per session and shared by the acceptance tests and anything else that
 needs the class table.
 """

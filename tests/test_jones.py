@@ -14,6 +14,13 @@ from tricross import (
     kauffman_bracket,
     parse_spd,
 )
+from tricross.enumeration import HEIGHT_WORDS
+from tricross.tables import (
+    BRAID_KNOTS,
+    RATIONAL_KNOTS,
+    braid_closure_pd,
+    rational_knot_pd,
+)
 from conftest import PD_FIG8, PD_KINK, PD_TREFOIL, T2_1, T2_2
 
 V_TREFOIL = {2: 1, 6: 1, 8: -1}          # t + t^3 - t^4  (exp2 keys)
@@ -33,6 +40,80 @@ def test_bracket_jones_kink_is_unknot():
 def test_kauffman_bracket_unnormalized_values():
     b = kauffman_bracket(DoubleDiagram.unknot())
     assert b == {0: 1}
+
+
+def _reference_bracket(dd):
+    """The bracket as a plain 2^m state sum: one union-find over the 4m
+    darts per state, each closed loop a class."""
+    m = dd.n
+    if m == 0:
+        return {0: 1}
+    total = {}
+    for state in range(1 << m):
+        parent = list(range(4 * m))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        def union(x, y):
+            parent[find(x)] = find(y)
+
+        for d in range(4 * m):
+            union(d, dd.alpha[d])
+        a_exp = 0
+        for c in range(m):
+            if state >> c & 1:  # A smoothing
+                a_exp += 1
+                union(4 * c + 1, 4 * c + 2)
+                union(4 * c + 3, 4 * c + 0)
+            else:
+                a_exp -= 1
+                union(4 * c + 0, 4 * c + 1)
+                union(4 * c + 2, 4 * c + 3)
+        loops = sum(1 for d in range(4 * m) if find(d) == d)
+        # A^a_exp (-A^2 - A^-2)^(loops - 1)
+        poly = {a_exp: 1}
+        for _ in range(loops - 1):
+            nxt = {}
+            for e, v in poly.items():
+                for de in (2, -2):
+                    nxt[e + de] = nxt.get(e + de, 0) - v
+            poly = nxt
+        for e, v in poly.items():
+            total[e] = total.get(e, 0) + v
+    return {e: v for e, v in total.items() if v}
+
+
+def _bracket_test_diagrams():
+    """Every deconstructed diagram with n <= 2, 40 seeded ones with n = 3,
+    the fixture PD codes, the unknot, the Hopf clasp and the knots of the
+    reference table (10 crossings at most)."""
+    for n in (1, 2):
+        for p in enumerate_projections(n):
+            for words in itertools.product(HEIGHT_WORDS, repeat=n):
+                yield convert_to_double(TripleDiagram(p, list(words)))
+    rng = random.Random(11)
+    projections = enumerate_projections(3)
+    for _ in range(40):
+        words = [rng.choice(HEIGHT_WORDS) for _ in range(3)]
+        yield convert_to_double(TripleDiagram(rng.choice(projections), words))
+    yield DoubleDiagram.unknot()
+    for pd in (PD_TREFOIL, PD_FIG8, PD_KINK, rational_knot_pd((2,))):
+        yield DoubleDiagram.from_pd(pd)
+    for twists in RATIONAL_KNOTS.values():
+        yield DoubleDiagram.from_pd(rational_knot_pd(twists))
+    for strands, word in BRAID_KNOTS.values():
+        yield DoubleDiagram.from_pd(braid_closure_pd(strands, word))
+
+
+def test_kauffman_bracket_equals_the_plain_state_sum():
+    checked = 0
+    for dd in _bracket_test_diagrams():
+        assert kauffman_bracket(dd) == _reference_bracket(dd)
+        checked += 1
+    assert checked == 6 + 36 + 40 + 5 + len(RATIONAL_KNOTS) + len(BRAID_KNOTS)
 
 
 def test_jones_triple_fixtures():

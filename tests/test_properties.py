@@ -15,6 +15,7 @@ from tricross import (
     convert_to_double,
     enumerate_projections,
     homfly,
+    kauffman_bracket,
     kauffman_f,
     parse_spd,
     serialize_spd,
@@ -104,9 +105,11 @@ def test_alexander_symmetry_on_random_diagrams(idx, data):
 @given(st.integers(0, len(_PROJECTIONS) - 1), st.data())
 @settings(max_examples=20, deadline=None)
 def test_skein_polynomials_ignore_the_labelling(idx, data):
-    """HOMFLY and F do not change when the crossings of the double diagram
-    are renumbered and some of them rotated by two slots (which keeps the
-    under-strand on slots 0 and 2)."""
+    """HOMFLY, F and the bracket do not change when the crossings of the
+    double diagram are renumbered and some of them rotated by two slots
+    (which keeps the under-strand on slots 0 and 2).  The bracket contracts
+    the crossings in an order read from the labels, so this also runs it
+    in many orders."""
     p = _PROJECTIONS[idx]
     words = [data.draw(st.sampled_from(HEIGHT_WORDS)) for _ in range(p.n)]
     dd = convert_to_double(TripleDiagram(p, words))
@@ -123,3 +126,4 @@ def test_skein_polynomials_ignore_the_labelling(idx, data):
     relabelled = DoubleDiagram(alpha, dd.n)
     assert homfly(relabelled) == homfly(dd)
     assert kauffman_f(relabelled) == kauffman_f(dd)
+    assert kauffman_bracket(relabelled) == kauffman_bracket(dd)
