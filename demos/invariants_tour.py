@@ -19,7 +19,7 @@ from tricross import (
     parse_spd,
     serialize_spd,
 )
-from tricross.laurent import is_monic
+from tricross.laurent import breadth, is_monic
 from tricross.quotients import hom_counts, permutation_group
 
 TREFOIL = "sPD[X[5,4,3,2,1,5|TMB],X[6,2,3,4,1,6|TMB]]"
@@ -43,7 +43,7 @@ def main() -> None:
     assert v == bracket_jones(dd)
 
     a = alexander(dd)
-    print(f"\nAlexander: {a}  (breadth {a.breadth()}, monic={is_monic(a)})")
+    print(f"\nAlexander: {a}  (breadth {breadth(a)}, monic={is_monic(a)})")
     print(f"HOMFLY:    {homfly(dd)}")
     print(f"Kauffman F: {kauffman_f(dd)}")
 

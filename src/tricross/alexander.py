@@ -93,6 +93,20 @@ def _arcs(dd: DoubleDiagram, tails: FrozenSet[int]) -> Dict[int, int]:
     return {d: a % total for d, a in arc_of.items()} if total else {}
 
 
+def _wirtinger(dd: DoubleDiagram, tails: FrozenSet[int]) -> List[Tuple[int, int, int, int]]:
+    """Per crossing ``(out_arc, in_arc, over_arc, sign)``: the under-strand
+    passes from ``in_arc`` to ``out_arc`` beneath ``over_arc``."""
+    arc_of = _arcs(dd, tails)
+    rows = []
+    for c in range(dd.n):
+        u_out = 4 * c + (0 if 4 * c + 0 in tails else 2)
+        o_out = 4 * c + (1 if 4 * c + 1 in tails else 3)
+        u_in_far = dd.alpha[d_opposite(u_out)]  # tail dart of the incoming under edge
+        rows.append((arc_of[u_out], arc_of[u_in_far], arc_of[o_out],
+                     dd.crossing_sign(c, tails)))
+    return rows
+
+
 def alexander(dd: DoubleDiagram, tails: FrozenSet[int] | None = None) -> IntLaurent:
     """Normalised Alexander polynomial of a knot diagram."""
     m = dd.n
@@ -100,18 +114,10 @@ def alexander(dd: DoubleDiagram, tails: FrozenSet[int] | None = None) -> IntLaur
         return IntLaurent.from_int_coeffs({0: 1})
     if tails is None:
         tails = dd.orientations()[0]
-    arc_of = _arcs(dd, tails)
 
     # rows over Z[t] as coefficient pairs (c0 + c1*t) per arc column
     rows: List[Dict[int, Tuple[int, int]]] = []
-    for c in range(m):
-        u_out = 4 * c + (0 if 4 * c + 0 in tails else 2)
-        o_out = 4 * c + (1 if 4 * c + 1 in tails else 3)
-        u_in_far = dd.alpha[d_opposite(u_out)]  # tail dart of the incoming under edge
-        out_arc = arc_of[u_out]
-        in_arc = arc_of[u_in_far]
-        over_arc = arc_of[o_out]
-        sign = dd.crossing_sign(c, tails)
+    for out_arc, in_arc, over_arc, sign in _wirtinger(dd, tails):
         row: Dict[int, Tuple[int, int]] = {}
 
         def add(col: int, c0: int, c1: int) -> None:

@@ -58,26 +58,16 @@ def _noncrossing_matchings() -> List[Matching]:
 NONCROSSING: List[Matching] = _noncrossing_matchings()
 
 
-class _DSU:
-    __slots__ = ("p",)
+def _slot_partners(m: Matching) -> Tuple[int, ...]:
+    """Slot -> the slot a matching joins it to."""
+    out = [0] * 6
+    for s, t in (tuple(pair) for pair in m):
+        out[s], out[t] = t, s
+    return tuple(out)
 
-    def __init__(self, size: int):
-        self.p = list(range(size))
 
-    def find(self, x: int) -> int:
-        p = self.p
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.p[rx] = ry
-
-    def class_count(self) -> int:
-        return sum(1 for i, v in enumerate(self.p) if self.find(i) == i)
+# per matching index, its slot -> slot table
+_PARTNERS = [_slot_partners(m) for m in NONCROSSING]
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +261,14 @@ def _tangle_bracket(word: str) -> Dict[Matching, Dict[int, int]]:
     ports = [(x, a) for x, ends in TANGLE_ENDS.items() for a, _, _ in ends]
     port_idx = {p: i for i, p in enumerate(ports)}
     bd_of: Dict[int, int] = {}
-    internal_edges = set()
+    # port -> the port at the far end of its internal tangle edge
+    edge_to: Dict[int, int] = {}
     for x, ends in TANGLE_ENDS.items():
         for a, _, conn in ends:
             if conn[0] == "bd":
                 bd_of[port_idx[(x, a)]] = conn[1]
             else:
-                internal_edges.add(frozenset({(x, a), conn}))
+                edge_to[port_idx[(x, a)]] = port_idx[conn]
     # per crossing, its four ports in slot order (under-strand at slot 0)
     slot_ports: Dict[str, List[int]] = {}
     for x in "abc":
@@ -293,33 +284,37 @@ def _tangle_bracket(word: str) -> Dict[Matching, Dict[int, int]]:
 
     out: Dict[Matching, Dict[int, int]] = {}
     for state in itertools.product((0, 1), repeat=3):
-        dsu = _DSU(len(ports))
-        for e in internal_edges:
-            p, q = tuple(e)
-            dsu.union(port_idx[p], port_idx[q])
+        # port -> the port its crossing's smoothing joins it to
+        joined: Dict[int, int] = {}
         a_exp = 0
         for x, bit in zip("abc", state):
             s0, s1, s2, s3 = slot_ports[x]
-            if bit:
-                a_exp += 1
-                dsu.union(s1, s2)
-                dsu.union(s3, s0)
-            else:
-                a_exp -= 1
-                dsu.union(s0, s1)
-                dsu.union(s2, s3)
-        groups: Dict[int, List[int]] = {}
-        for i in range(len(ports)):
-            groups.setdefault(dsu.find(i), []).append(i)
+            a_exp += 1 if bit else -1
+            for p, q in ((s1, s2), (s3, s0)) if bit else ((s0, s1), (s2, s3)):
+                joined[p], joined[q] = q, p
+        # an arc runs from a boundary port, alternating smoothings and
+        # internal edges, to another boundary port; what is left is loops
+        seen = set(bd_of)
         pairs = []
+        for p in bd_of:
+            q = joined[p]
+            while q not in bd_of:
+                seen.add(q)
+                q = edge_to[q]
+                seen.add(q)
+                q = joined[q]
+            if p < q:
+                pairs.append(frozenset((bd_of[p], bd_of[q])))
         loops = 0
-        for members in groups.values():
-            bds = [bd_of[i] for i in members if i in bd_of]
-            if not bds:
-                loops += 1
-            else:
-                assert len(bds) == 2
-                pairs.append(frozenset(bds))
+        for p in range(len(ports)):
+            if p in seen:
+                continue
+            loops += 1
+            while p not in seen:
+                seen.add(p)
+                q = joined[p]
+                seen.add(q)
+                p = edge_to[q]
         matching: Matching = frozenset(pairs)
         poly = {a_exp: 1}
         for _ in range(loops):
@@ -370,16 +365,25 @@ def _state_loop_counts(proj: TripleProjection) -> List[Tuple[Tuple[int, ...], in
     same projection shares this table.
     """
     n = proj.n
+    alpha = proj.alpha
     out = []
     for state in itertools.product(range(5), repeat=n):
-        dsu = _DSU(6 * n)
-        for d in range(6 * n):
-            dsu.union(d, proj.alpha[d])
-        for c, mi in enumerate(state):
-            for pair in NONCROSSING[mi]:
-                s, t = tuple(pair)
-                dsu.union(6 * c + s, 6 * c + t)
-        out.append((state, dsu.class_count()))
+        partners = [_PARTNERS[mi] for mi in state]
+        seen = [False] * (6 * n)
+        loops = 0
+        for start in range(6 * n):
+            if seen[start]:
+                continue
+            loops += 1
+            # alternate the pairing and the state's matching until the loop closes
+            d = start
+            while not seen[d]:
+                seen[d] = True
+                e = alpha[d]
+                seen[e] = True
+                c = e // 6
+                d = 6 * c + partners[c][e - 6 * c]
+        out.append((state, loops))
     return out
 
 

@@ -49,11 +49,6 @@ class HalfLaurent:
     def one(cls) -> "HalfLaurent":
         return cls({0: 1})
 
-    @classmethod
-    def term(cls, coeff: int, exp2: int) -> "HalfLaurent":
-        """Monomial ``coeff * t^(exp2/2)``."""
-        return cls({exp2: coeff})
-
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -208,9 +203,6 @@ class IntLaurent(HalfLaurent):
     def int_coeffs(self) -> Dict[int, int]:
         return {e // 2: v for e, v in self._c.items()}
 
-    def breadth(self) -> int:
-        return self.breadth2() // 2
-
     def __add__(self, other):  # keep the subclass type on arithmetic
         return IntLaurent(HalfLaurent.__add__(self, other).coeffs)
 
@@ -254,10 +246,6 @@ class Laurent2:
     @classmethod
     def one(cls) -> "Laurent2":
         return cls({(0, 0): 1})
-
-    @classmethod
-    def term(cls, coeff: int, ea: int, ez: int) -> "Laurent2":
-        return cls({(ea, ez): coeff})
 
     @property
     def coeffs(self) -> Dict[Tuple[int, int], int]:

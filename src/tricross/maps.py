@@ -1,26 +1,30 @@
 """Combinatorial maps for triple-crossing projections and diagrams.
 
-A projection with ``n`` crossings is stored as a rotation system on the
-``6n`` half-edges ("darts"): dart ``6c + s`` is slot ``s`` (counterclockwise,
-0-based) of crossing ``c``.  The rotation permutation is implicit (slot
-``s -> s+1 mod 6``); the edge pairing ``alpha`` is an explicit fixed-point-free
-involution.  Faces are orbits of ``sigma o alpha``.
+One map class of valence ``V`` serves both kinds of diagram: the 6-valent
+triple-crossing projection and its 4-valent deconstruction.  A map with
+``n`` crossings is a rotation system on the ``V n`` half-edges ("darts"):
+dart ``V c + s`` is slot ``s`` (counterclockwise, 0-based) of crossing ``c``.
+The rotation permutation is implicit (slot ``s -> s+1 mod V``); the edge
+pairing ``alpha`` is an explicit fixed-point-free involution.  Faces are
+orbits of ``sigma o alpha``, and a connected map is spherical when it has
+``(V/2 - 1) n + 2`` of them.  Strands pass straight through a crossing: slot
+``s`` and slot ``s + V/2`` carry the same strand.
 
-Strands pass straight through a crossing: slot ``s`` and slot ``s+3`` carry
-the same strand, so crossing ``c`` has three strands ``0, 1, 2`` occupying
-slot pairs ``(0,3), (1,4), (2,5)``.  A diagram adds a height word per
-crossing: ``heights[c][j]`` is the level (``T``/``M``/``B``) of strand ``j``.
+A triple crossing (``V = 6``) has three strands ``0, 1, 2`` occupying slot
+pairs ``(0,3), (1,4), (2,5)``.  A diagram adds a height word per crossing:
+``heights[c][j]`` is the level (``T``/``M``/``B``) of strand ``j``.
 
-Double (classical, 4-valent) diagrams use the same scheme with darts
-``4c + s`` and the convention that the under-strand occupies slots 0 and 2.
+Double (classical, ``V = 4``) diagrams have the under-strand at slots 0
+and 2.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Type, TypeVar
 
-HEIGHT_LETTERS = ("T", "M", "B")
 HEIGHT_RANK = {"T": 2, "M": 1, "B": 0}
+
+Orientation = FrozenSet[int]  # the set of darts pointing away from their crossing
 
 
 class DiagramError(ValueError):
@@ -29,21 +33,6 @@ class DiagramError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """Raised when a property the theory guarantees fails on concrete data."""
-
-
-# ---------------------------------------------------------------------------
-# dart helpers (6-valent)
-# ---------------------------------------------------------------------------
-
-
-def t_sigma(d: int) -> int:
-    """Rotation: next dart counterclockwise around the crossing."""
-    return 6 * (d // 6) + (d % 6 + 1) % 6
-
-
-def t_opposite(d: int) -> int:
-    """The dart of the same strand passage on the far side of the crossing."""
-    return 6 * (d // 6) + (d % 6 + 3) % 6
 
 
 def _cycles(perm: Sequence[int]) -> List[List[int]]:
@@ -62,99 +51,174 @@ def _cycles(perm: Sequence[int]) -> List[List[int]]:
     return out
 
 
-def _orbits(n: int, gens: Iterable) -> List[List[int]]:
-    """Orbits of a group generated by callables on ``range(n)``."""
-    gens = list(gens)
-    seen = [False] * n
-    out: List[List[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orb = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            d = stack.pop()
-            for g in gens:
-                e = g(d)
-                if not seen[e]:
-                    seen[e] = True
-                    orb.append(e)
-                    stack.append(e)
-        orb.sort()
-        out.append(orb)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# projections
+# the map of valence V
 # ---------------------------------------------------------------------------
 
+_M = TypeVar("_M", bound="_Map")
 
-class TripleProjection:
-    """A 6-valent combinatorial map; ``n == 0`` encodes the crossingless unknot."""
+
+class _Map:
+    """A ``V``-valent combinatorial map; ``n == 0`` encodes the crossingless
+    unknot.  Subclasses set the valence ``V`` and the hash tag."""
 
     __slots__ = ("n", "alpha")
+    V: int
+    _TAG: str
 
     def __init__(self, alpha: Sequence[int], n: Optional[int] = None):
         alpha = tuple(alpha)
+        V = self.V
         if n is None:
-            if len(alpha) % 6:
-                raise DiagramError("dart count must be a multiple of 6")
-            n = len(alpha) // 6
-        if len(alpha) != 6 * n:
+            if len(alpha) % V:
+                raise DiagramError(f"dart count must be a multiple of {V}")
+            n = len(alpha) // V
+        total = V * n
+        if len(alpha) != total:
             raise DiagramError("pairing length does not match crossing count")
         for d, e in enumerate(alpha):
-            if not 0 <= e < 6 * n or alpha[e] != d or e == d:
+            if not 0 <= e < total or alpha[e] != d or e == d:
                 raise DiagramError("pairing is not a fixed-point-free involution")
         self.n = n
         self.alpha = alpha
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, TripleProjection) and self.alpha == other.alpha
+        return isinstance(other, type(self)) and self.alpha == other.alpha
 
     def __hash__(self) -> int:
-        return hash(("P", self.alpha))
+        return hash((self._TAG, self.alpha))
 
     def __repr__(self) -> str:
-        return f"TripleProjection(n={self.n})"
+        return f"{type(self).__name__}(n={self.n})"
+
+    @classmethod
+    def unknot(cls: Type[_M]) -> _M:
+        return cls((), 0)
+
+    @classmethod
+    def from_labels(cls: Type[_M], code: Sequence[Sequence[int]]) -> _M:
+        """Validated map from per-crossing edge labels: ``V`` labels per
+        crossing, counterclockwise, each label on exactly two darts."""
+        V = cls.V
+        where: Dict[int, List[int]] = {}
+        for c, labels in enumerate(code):
+            if len(labels) != V:
+                raise DiagramError(f"each crossing needs exactly {V} edge labels")
+            for s, lab in enumerate(labels):
+                where.setdefault(lab, []).append(V * c + s)
+        alpha = [0] * (V * len(code))
+        for lab, darts in where.items():
+            if len(darts) != 2:
+                raise DiagramError(f"edge label {lab} appears {len(darts)} times, expected 2")
+            alpha[darts[0]] = darts[1]
+            alpha[darts[1]] = darts[0]
+        m = cls(alpha, len(code))
+        m.validate()
+        return m
 
     # -- structure ---------------------------------------------------------
 
     def faces(self) -> List[List[int]]:
         """Orbits of the face permutation ``sigma o alpha``."""
-        perm = [t_sigma(self.alpha[d]) for d in range(6 * self.n)]
-        return _cycles(perm)
+        V = self.V
+        return _cycles([a + 1 if (a + 1) % V else a + 1 - V for a in self.alpha])
 
     def is_connected(self) -> bool:
-        if self.n == 0:
+        """Every crossing is reached from crossing 0 along the pairing."""
+        n, V, alpha = self.n, self.V, self.alpha
+        if n == 0:
             return True
-        return len(_orbits(6 * self.n, (t_sigma, lambda d: self.alpha[d]))) == 1
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
+        reached = 1
+        while stack:
+            c = stack.pop()
+            for e in alpha[V * c:V * c + V]:
+                u = e // V
+                if not seen[u]:
+                    seen[u] = True
+                    reached += 1
+                    stack.append(u)
+        return reached == n
 
     def is_spherical(self) -> bool:
-        """Euler check V - E + F = 2 from face tracing (requires connectivity)."""
-        if self.n == 0:
-            return True
-        return self.is_connected() and len(self.faces()) == 2 * self.n + 2
+        """Connected, and V - E + F = 2 by face tracing."""
+        try:
+            self.validate()
+        except DiagramError:
+            return False
+        return True
 
     def validate(self) -> None:
-        if self.n == 0:
+        n = self.n
+        if n == 0:
             return
         if not self.is_connected():
-            raise DiagramError("projection is disconnected")
-        if len(self.faces()) != 2 * self.n + 2:
+            raise DiagramError(f"{self!r} is disconnected")
+        if len(self.faces()) != (self.V // 2 - 1) * n + 2:
             raise DiagramError("rotation system is not spherical")
 
+    def _walks(self) -> List[List[int]]:
+        """Orbits of ``d -> opposite(alpha[d])``: the tail darts of one strand
+        component in one direction.  Each component has two, one per
+        direction (the pairing maps one onto the other)."""
+        V, alpha = self.V, self.alpha
+        half = V // 2
+        total = V * self.n
+        seen = [False] * total
+        out: List[List[int]] = []
+        for start in range(total):
+            if seen[start]:
+                continue
+            walk = []
+            d = start
+            while not seen[d]:
+                seen[d] = True
+                walk.append(d)
+                e = alpha[d]
+                d = e + half if e % V < half else e - half
+            out.append(walk)
+        return out
+
     def strand_components(self) -> List[List[int]]:
-        """Connected strand traces: orbits of the pairing and slot -> slot+3."""
-        if self.n == 0:
-            return []
-        return _orbits(6 * self.n, (t_opposite, lambda d: self.alpha[d]))
+        """The darts of each strand component, sorted, by smallest dart."""
+        alpha = self.alpha
+        seen = set()
+        out = []
+        for walk in self._walks():
+            if walk[0] not in seen:
+                component = sorted(walk + [alpha[d] for d in walk])
+                seen.update(component)
+                out.append(component)
+        return out
 
     def num_components(self) -> int:
         if self.n == 0:
             return 1
-        return len(self.strand_components())
+        return len(self._walks()) // 2
+
+    def orientations(self) -> List[Orientation]:
+        """Tail-dart sets of the two traversal directions of a knot."""
+        if self.n == 0:
+            return [frozenset(), frozenset()]
+        walks = self._walks()
+        if len(walks) != 2:
+            raise DiagramError("not a knot: more than one component")
+        return [frozenset(w) for w in walks]
+
+
+# ---------------------------------------------------------------------------
+# projections and diagrams
+# ---------------------------------------------------------------------------
+
+
+class TripleProjection(_Map):
+    """The 6-valent map of a triple-crossing projection."""
+
+    __slots__ = ()
+    V = 6
+    _TAG = "P"
 
     def is_prime(self) -> bool:
         """No 2-edge cut with crossings on both sides."""
@@ -175,20 +239,6 @@ class TripleProjection:
             if cut == 2:
                 return False
         return True
-
-    def mirror(self) -> "TripleProjection":
-        """Reverse every rotation (slot ``s -> -s mod 6`` at each crossing)."""
-        def m(d: int) -> int:
-            return 6 * (d // 6) + (6 - d % 6) % 6
-
-        alpha = [0] * (6 * self.n)
-        for d, e in enumerate(self.alpha):
-            alpha[m(d)] = m(e)
-        return TripleProjection(alpha, self.n)
-
-    @classmethod
-    def unknot(cls) -> "TripleProjection":
-        return cls((), 0)
 
 
 class TripleDiagram:
@@ -232,12 +282,6 @@ class TripleDiagram:
         if self.projection.num_components() != 1:
             raise DiagramError("not a knot: more than one link component")
 
-    def mirror(self) -> "TripleDiagram":
-        """Planar reflection: rotations reverse, strands 1 and 2 swap slots."""
-        proj = self.projection.mirror()
-        heights = tuple(w[0] + w[2] + w[1] for w in self.heights)
-        return TripleDiagram(proj, heights)
-
     @classmethod
     def unknot(cls) -> "TripleDiagram":
         return cls(TripleProjection.unknot(), ())
@@ -246,8 +290,6 @@ class TripleDiagram:
 # ---------------------------------------------------------------------------
 # natural orientations
 # ---------------------------------------------------------------------------
-
-Orientation = FrozenSet[int]  # the set of darts pointing away from their crossing
 
 
 def natural_orientations(diagram: TripleDiagram) -> List[Orientation]:
@@ -258,38 +300,18 @@ def natural_orientations(diagram: TripleDiagram) -> List[Orientation]:
     two, mutual reversals of each other; anything else is flagged as an
     internal inconsistency rather than returned.
     """
-    n = diagram.n
-    if n == 0:
-        return [frozenset(), frozenset()]
-    alpha = diagram.alpha
-    total = 6 * n
-    seen = [False] * total
-    orientations: List[Orientation] = []
-    for start in range(total):
-        if seen[start]:
-            continue
-        orbit = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            orbit.append(d)
-            d = t_opposite(alpha[d])
-        if len(orbit) != 3 * n:
-            raise InternalConsistencyError("strand trace is not a single knot component")
-        tails = frozenset(orbit)
-        for c in range(n):
-            parity = {6 * c + s in tails for s in (0, 2, 4)}
-            parity_odd = {6 * c + s in tails for s in (1, 3, 5)}
-            if parity != {True} and parity != {False}:
-                break
-            if parity_odd == parity:
-                break
-        else:
-            orientations.append(tails)
-    if len(orientations) != 2:
-        raise InternalConsistencyError(
-            f"expected exactly 2 natural orientations, found {len(orientations)}"
-        )
+    try:
+        orientations = diagram.projection.orientations()
+    except DiagramError as exc:
+        raise InternalConsistencyError("strand trace is not a single knot component") from exc
+    for tails in orientations:
+        for c in range(diagram.n):
+            even = {6 * c + s in tails for s in (0, 2, 4)}
+            odd = {6 * c + s in tails for s in (1, 3, 5)}
+            if len(even) != 1 or even == odd:
+                raise InternalConsistencyError(
+                    f"strands do not alternate in and out at crossing {c}"
+                )
     return orientations
 
 
@@ -311,118 +333,18 @@ def d_opposite(d: int) -> int:
     return 4 * (d // 4) + (d % 4 + 2) % 4
 
 
-class DoubleDiagram:
+class DoubleDiagram(_Map):
     """Classical diagram: 4-valent map, under-strand at slots 0 and 2."""
 
-    __slots__ = ("n", "alpha")
-
-    def __init__(self, alpha: Sequence[int], n: Optional[int] = None):
-        alpha = tuple(alpha)
-        if n is None:
-            if len(alpha) % 4:
-                raise DiagramError("dart count must be a multiple of 4")
-            n = len(alpha) // 4
-        if len(alpha) != 4 * n:
-            raise DiagramError("pairing length does not match crossing count")
-        for d, e in enumerate(alpha):
-            if not 0 <= e < 4 * n or alpha[e] != d or e == d:
-                raise DiagramError("pairing is not a fixed-point-free involution")
-        self.n = n
-        self.alpha = alpha
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DoubleDiagram) and self.alpha == other.alpha
-
-    def __hash__(self) -> int:
-        return hash(("DD", self.alpha))
-
-    def __repr__(self) -> str:
-        return f"DoubleDiagram(n={self.n})"
-
-    @classmethod
-    def unknot(cls) -> "DoubleDiagram":
-        return cls((), 0)
+    __slots__ = ()
+    V = 4
+    _TAG = "DD"
 
     @classmethod
     def from_pd(cls, code: Sequence[Sequence[int]]) -> "DoubleDiagram":
         """Build from a PD-style code: per crossing four edge labels,
         counterclockwise, under-strand at positions 0 and 2."""
-        n = len(code)
-        where: Dict[int, List[int]] = {}
-        for c, quad in enumerate(code):
-            if len(quad) != 4:
-                raise DiagramError("each PD crossing needs four edge labels")
-            for s, lab in enumerate(quad):
-                where.setdefault(lab, []).append(4 * c + s)
-        alpha = [0] * (4 * n)
-        for lab, darts in where.items():
-            if len(darts) != 2:
-                raise DiagramError(f"edge label {lab} does not appear exactly twice")
-            alpha[darts[0]] = darts[1]
-            alpha[darts[1]] = darts[0]
-        dd = cls(alpha, n)
-        dd.validate()
-        return dd
-
-    def faces(self) -> List[List[int]]:
-        perm = [d_sigma(self.alpha[d]) for d in range(4 * self.n)]
-        return _cycles(perm)
-
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        return len(_orbits(4 * self.n, (d_sigma, lambda d: self.alpha[d]))) == 1
-
-    def validate(self) -> None:
-        if self.n == 0:
-            return
-        if not self.is_connected():
-            raise DiagramError("diagram is disconnected")
-        if len(self.faces()) != self.n + 2:
-            raise DiagramError("rotation system is not spherical")
-
-    def strand_components(self) -> List[List[int]]:
-        if self.n == 0:
-            return []
-        return _orbits(4 * self.n, (d_opposite, lambda d: self.alpha[d]))
-
-    def num_components(self) -> int:
-        if self.n == 0:
-            return 1
-        return len(self.strand_components())
-
-    def mirror(self) -> "DoubleDiagram":
-        """Reverse rotations keeping over/under slots (the mirror knot)."""
-        def m(d: int) -> int:
-            return 4 * (d // 4) + (4 - d % 4) % 4
-
-        alpha = [0] * (4 * self.n)
-        for d, e in enumerate(self.alpha):
-            alpha[m(d)] = m(e)
-        return DoubleDiagram(alpha, self.n)
-
-    # -- orientations and writhe -------------------------------------------
-
-    def orientations(self) -> List[FrozenSet[int]]:
-        """Tail-dart sets for each traversal direction of a knot diagram."""
-        if self.n == 0:
-            return [frozenset(), frozenset()]
-        total = 4 * self.n
-        seen = [False] * total
-        out: List[FrozenSet[int]] = []
-        for start in range(total):
-            if seen[start]:
-                continue
-            orbit = []
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                orbit.append(d)
-                d = d_opposite(self.alpha[d])
-            out.append(frozenset(orbit))
-        if len(out) != 2:
-            raise DiagramError("not a knot: more than one component")
-        return out
+        return cls.from_labels(code)
 
     def crossing_sign(self, c: int, tails: FrozenSet[int]) -> int:
         """+1 when the over-strand exit slot is one counterclockwise step

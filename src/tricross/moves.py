@@ -70,7 +70,7 @@ def _bigon_anchors(p: TripleProjection) -> List[tuple]:
 def _slide_projection(p: TripleProjection, c: int, s: int) -> Optional[TripleProjection]:
     """Apply the slide; None when the result is not a valid knot shadow."""
     q = TripleProjection(_slide_alpha(p.alpha, p.n, c, s), p.n)
-    if not (q.is_connected() and q.is_spherical()):
+    if not q.is_spherical():
         return None
     if q.num_components() != p.num_components():
         return None

@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Sequence, Tuple
 
-from .alexander import _arcs
-from .maps import DiagramError, DoubleDiagram, d_opposite
+from .alexander import _wirtinger
+from .maps import DiagramError, DoubleDiagram
 
 Perm = Tuple[int, ...]
 Group = Tuple[List[Perm], Dict[Perm, Perm], List[List[Perm]]]
@@ -65,22 +65,11 @@ def permutation_group(name: str) -> Group:
 
 
 def wirtinger_relations(dd: DoubleDiagram) -> Tuple[List[Tuple[int, int, int, int]], int]:
-    """Per-crossing (out_arc, in_arc, over_arc, sign) plus the arc count."""
-    if dd.n and dd.num_components() != 1:
-        raise DiagramError("Wirtinger profiles are computed for knots only")
+    """Per-crossing (out_arc, in_arc, over_arc, sign) plus the arc count;
+    a link raises :class:`DiagramError`."""
     if dd.n == 0:
         return [], 0
-    tails = dd.orientations()[0]
-    arc_of = _arcs(dd, tails)
-    rels = []
-    for c in range(dd.n):
-        u_out = 4 * c + (0 if 4 * c in tails else 2)
-        o_out = 4 * c + (1 if 4 * c + 1 in tails else 3)
-        u_in_far = dd.alpha[d_opposite(u_out)]
-        rels.append(
-            (arc_of[u_out], arc_of[u_in_far], arc_of[o_out],
-             dd.crossing_sign(c, tails))
-        )
+    rels = _wirtinger(dd, dd.orientations()[0])
     return rels, 1 + max(max(r[:3]) for r in rels)
 
 

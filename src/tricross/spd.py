@@ -46,8 +46,6 @@ def parse_spd(text: str) -> Union[TripleProjection, TripleDiagram]:
         if not m:
             raise SpdSyntaxError(f"bad crossing syntax at: {body[pos:pos + 24]!r}")
         labels = [int(x) for x in m.group(1).split(",") if x]
-        if len(labels) != 6:
-            raise SpdSyntaxError("each crossing needs exactly six edge labels")
         if any(lab < 1 for lab in labels):
             raise SpdSyntaxError("edge labels must be >= 1")
         crossings.append((labels, m.group(2)))
@@ -66,19 +64,10 @@ def parse_spd(text: str) -> Union[TripleProjection, TripleDiagram]:
             if sorted(w) != ["B", "M", "T"]:
                 raise SpdSyntaxError(f"height word {w!r} is not a permutation of T, M, B")
 
-    where: Dict[int, List[int]] = {}
-    for c, (labels, _) in enumerate(crossings):
-        for s, lab in enumerate(labels):
-            where.setdefault(lab, []).append(6 * c + s)
-    alpha = [0] * (6 * len(crossings))
-    for lab, darts in sorted(where.items()):
-        if len(darts) != 2:
-            raise SpdSyntaxError(f"edge label {lab} appears {len(darts)} times, expected 2")
-        alpha[darts[0]] = darts[1]
-        alpha[darts[1]] = darts[0]
-
-    proj = TripleProjection(alpha, len(crossings))
-    proj.validate()
+    try:
+        proj = TripleProjection.from_labels([labels for labels, _ in crossings])
+    except DiagramError as exc:
+        raise SpdSyntaxError(str(exc)) from exc
     if not with_heights:
         return proj
     diagram = TripleDiagram(proj, [w for _, w in crossings])

@@ -3,6 +3,8 @@ import pytest
 from tricross import (
     DiagramError,
     DoubleDiagram,
+    InternalConsistencyError,
+    SpdSyntaxError,
     TripleDiagram,
     TripleProjection,
     natural_orientations,
@@ -89,3 +91,52 @@ def test_diagram_requires_height_word_per_crossing():
         TripleDiagram(p, ["TMB"])  # wrong number of words
     with pytest.raises(DiagramError):
         TripleDiagram(p, ["TMB", "TTB"])  # not a permutation of T/M/B
+
+
+def _spd(code):
+    """A projection through the sPD text parser."""
+    return parse_spd("sPD[" + ",".join(f"X[{','.join(map(str, x))}]" for x in code) + "]")
+
+
+# Per valence: its map class, its label parser with the error that parser
+# raises, and the labels of a spherical two-component map.
+@pytest.mark.parametrize("cls, build, error, link", [
+    (TripleProjection, _spd, SpdSyntaxError, [[1, 2, 2, 1, 3, 3]]),
+    (DoubleDiagram, DoubleDiagram.from_pd, DiagramError, [[1, 3, 4, 2], [3, 1, 2, 4]]),
+])
+def test_map_contract_on_both_valences(cls, build, error, link):
+    V = cls.V
+    kinks = [d ^ 1 for d in range(V)]  # one crossing, a loop on each slot pair
+    assert cls(kinks).is_spherical()
+    assert cls(kinks).num_components() == 1
+    assert len(cls(kinks).orientations()) == 2
+    for bad in ([kinks[:-1]], [kinks, 2], [list(range(1, V)) + [0]]):
+        with pytest.raises(DiagramError):
+            cls(*bad)  # wrong pairing length, twice; a rotation, not an involution
+    apart = cls(kinks + [d + V for d in kinks])
+    torus = cls([(d + V // 2) % V for d in range(V)])
+    assert not apart.is_connected() and not apart.is_spherical()
+    assert torus.is_connected() and not torus.is_spherical()
+    for m in (apart, torus):
+        with pytest.raises(DiagramError):
+            m.validate()
+
+    labels = [1 + s // 2 for s in range(V)]
+    assert build([labels]) == cls(kinks)
+    for bad in ([labels[:-1]],                            # a label too few
+                [labels[:-1] + [V]],                      # a label seen once
+                [labels, [lab + V for lab in labels]],    # disconnected
+                [[1 + s % (V // 2) for s in range(V)]]):  # torus
+        with pytest.raises(error):
+            build(bad)
+
+    two = build(link)
+    assert two.num_components() == 2 and two.is_spherical()
+    with pytest.raises(DiagramError):
+        two.orientations()
+
+
+def test_natural_orientations_refuse_a_link():
+    two = parse_spd("sPD[X[1,2,2,1,3,3]]")
+    with pytest.raises(InternalConsistencyError):
+        natural_orientations(TripleDiagram(two, ["TMB"]))
