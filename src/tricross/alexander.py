@@ -69,14 +69,7 @@ def _balanced_digits(value: int, base: int) -> Dict[int, int]:
 
 def _arcs(dd: DoubleDiagram, tails: FrozenSet[int]) -> Dict[int, int]:
     """Arc index of every tail dart along the knot traversal."""
-    start = min(tails)
-    order = []
-    d = start
-    while True:
-        order.append(d)
-        d = d_opposite(dd.alpha[d])
-        if d == start:
-            break
+    (order,) = dd.walks(tails)
     # break arcs after each under-passage exit: an under-exit tail starts a new arc
     arc_of: Dict[int, int] = {}
     arc = 0

@@ -143,11 +143,7 @@ def canonical_form(
     """Rebuild the object with the canonical labeling applied."""
     if isinstance(obj, TripleDiagram):
         return _diagram_from_code(canonical_diagram_code(obj, fold_mirror), obj.n)
-    return _projection_from_code(canonical_projection_code(obj, fold_mirror), obj.n)
-
-
-def _projection_from_code(code: Tuple[int, ...], n: int) -> TripleProjection:
-    return TripleProjection(code, n)
+    return TripleProjection(canonical_projection_code(obj, fold_mirror), obj.n)
 
 
 def _diagram_from_code(code: Tuple, n: int) -> TripleDiagram:

@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, TextIO
 
-from .canon import _projection_from_code
 from .enumeration import (
     Budget,
     BudgetExceeded,
@@ -28,7 +27,7 @@ from .enumeration import (
 )
 from .homfly import BudgetError, homfly
 from .laurent import IntLaurent, breadth, is_monic
-from .maps import DiagramError, TripleDiagram
+from .maps import DiagramError, TripleDiagram, TripleProjection
 from .spd import parse_spd, serialize_spd
 from .tables import conjecture_report, emit_table, emit_tikz, identify, load_reference
 from .tangle import convert_to_double
@@ -135,7 +134,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
         out = _open_out(cfg.out)
         lines = [
             json.dumps({"type": "projection", "n": cfg.n, "partial": True,
-                        "spd": serialize_spd(_projection_from_code(code, cfg.n))})
+                        "spd": serialize_spd(TripleProjection(code, cfg.n))})
             for code in exc.partial
         ]
         lines.append(json.dumps({"type": "resume", "n": cfg.n,

@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet
 
 from .laurent import Laurent2
-from .maps import DoubleDiagram, InternalConsistencyError, d_opposite
-from .skein import BudgetError, Engine, first_bad_crossing, smooth, walks
+from .maps import DiagramError, DoubleDiagram, InternalConsistencyError, d_opposite
+from .skein import BudgetError, Engine, first_bad_crossing, smooth
 
 DELTA = Laurent2({(1, -1): 1, (-1, -1): -1})  # (a - a^-1) / z
 
@@ -45,7 +45,7 @@ class _Homfly(Engine):
                   flips: FrozenSet[int]) -> Laurent2:
         bad = first_bad_crossing(dd, tails, flips)
         if bad is None:
-            return DELTA ** (len(walks(dd, tails)) - 1)
+            return DELTA ** (len(dd.walks(tails)) - 1)
         sign = dd.crossing_sign(bad, tails) * (-1 if bad in flips else 1)
         p_switch = self.eval(dd, tails, flips ^ {bad})
         p_smooth = self.eval_smoothed(*smooth(dd, tails, flips, bad,
@@ -68,11 +68,15 @@ def homfly(
         raise BudgetError(
             f"diagram has {dd.n} crossings, above the limit of {max_crossings}"
         )
+    walks = dd.walks()
     if tails is None:
-        tails = dd.orientations()[0]
+        if len(walks) > 1:
+            raise DiagramError("not a knot: a link needs its tails")
+        tails = frozenset(*walks)
     engine = _Homfly(max_nodes)
     result = engine.eval(dd, tails, frozenset())
-    if dd.num_components() == 1:
+    # a knot, or the crossingless unknot: both directions must agree
+    if len(walks) <= 1:
         other = engine.eval(dd, frozenset(dd.alpha[d] for d in tails), frozenset())
         if other != result:
             raise InternalConsistencyError(

@@ -230,14 +230,24 @@ class TripleRelation:
     resolving a crossing with height word ``word`` into ``matching`` (a
     non-crossing perfect matching of the six boundary slots).
     ``class_of[word]`` is the chirality class: ``"x"`` when the coefficient
-    exponents are positive, ``"y"`` for the mirror class.
+    exponents are positive, ``"y"`` for the mirror class.  Every coefficient
+    is ``-t^(e/2)``; ``exponents[word]`` lists those ``e`` in the order of
+    :data:`NONCROSSING`.
     """
 
     def __init__(self, by_height: Dict[str, Dict[Matching, HalfLaurent]]):
         self.by_height = by_height
         self.class_of: Dict[str, str] = {}
+        self.exponents: Dict[str, List[int]] = {}
         for word, coeffs in by_height.items():
-            exps = sorted(c.max_exp2() for c in coeffs.values())
+            table = []
+            for m in NONCROSSING:
+                (e2, v), = coeffs[m].coeffs.items()
+                if v != -1:
+                    raise DiagramError("relation coefficient is not -t^e")
+                table.append(e2)
+            self.exponents[word] = table
+            exps = sorted(table)
             if exps == [1, 1, 2, 2, 3]:
                 self.class_of[word] = "x"
             elif exps == [-3, -2, -2, -1, -1]:
@@ -398,38 +408,26 @@ def jones_triple_batch(
     proj: TripleProjection, height_words: Sequence[Tuple[str, ...]]
 ) -> List[HalfLaurent]:
     """Jones polynomials of several diagrams over one shared projection."""
-    n = proj.n
-    rel = derive_triple_relation()
-    # coefficient exponent tables: exp2[word][matching index]
-    sign = -1 if n % 2 else 1
-    states = _state_loop_counts(proj)
-    loop_pows: Dict[int, HalfLaurent] = {}
-
-    def loop_pow(c: int) -> HalfLaurent:
-        if c not in loop_pows:
-            loop_pows[c] = LOOP_FACTOR ** c
-        return loop_pows[c]
-
+    exponents = derive_triple_relation().exponents
+    sign = -1 if proj.n % 2 else 1
+    # the signed terms of LOOP_FACTOR ** (loops - 1), once per loop count
+    terms: Dict[int, List[Tuple[int, int]]] = {}
+    states = []
+    for state, loops in _state_loop_counts(proj):
+        if loops not in terms:
+            terms[loops] = [(e2, sign * v)
+                            for e2, v in (LOOP_FACTOR ** (loops - 1)).coeffs.items()]
+        states.append((state, terms[loops]))
     results = []
     for words in height_words:
-        exp_tables = []
-        for w in words:
-            coeffs = rel.by_height[w]
-            tab = []
-            for m in NONCROSSING:
-                p = coeffs[m].coeffs
-                (e2, v), = p.items()
-                if v != -1:
-                    raise DiagramError("relation coefficient is not -t^e")
-                tab.append(e2)
-            exp_tables.append(tab)
+        tables = [exponents[w] for w in words]
         acc: Dict[int, int] = {}
-        for state, c in states:
+        for state, loop_terms in states:
             e2 = 0
-            for i, mi in enumerate(state):
-                e2 += exp_tables[i][mi]
-            for le2, lv in loop_pow(c - 1).coeffs.items():
+            for table, mi in zip(tables, state):
+                e2 += table[mi]
+            for le2, lv in loop_terms:
                 k = e2 + le2
-                acc[k] = acc.get(k, 0) + sign * lv
+                acc[k] = acc.get(k, 0) + lv
         results.append(HalfLaurent({k: v for k, v in acc.items() if v}))
     return results

@@ -24,7 +24,7 @@ from typing import Dict, Tuple
 
 from .laurent import Laurent2
 from .maps import DoubleDiagram
-from .skein import Darts, Engine, Flips, first_bad_crossing, smooth, walks
+from .skein import Darts, Engine, Flips, first_bad_crossing, smooth
 
 DELTA_K = Laurent2({(1, -1): 1, (-1, -1): 1, (0, 0): -1})  # (a + a^-1)/z - 1
 
@@ -41,7 +41,7 @@ def _smoothings(c: int) -> Tuple[Dict[int, int], Dict[int, int]]:
 
 def _self_writhe(dd: DoubleDiagram, flips: Flips) -> int:
     """Sum over components of the signed self-crossings (orientation-free)."""
-    comps = walks(dd)
+    comps = dd.walks()
     tails = frozenset(d for walk in comps for d in walk)
     comp_of: Dict[int, set] = {}
     for i, walk in enumerate(comps):
@@ -64,7 +64,7 @@ class _Kauffman(Engine):
     def connected(self, dd: DoubleDiagram, tails: Darts, flips: Flips) -> Laurent2:
         bad = first_bad_crossing(dd, tails, flips)
         if bad is None:
-            k = len(walks(dd))
+            k = len(dd.walks())
             return (DELTA_K ** (k - 1)).scale(1, _self_writhe(dd, flips), 0)
         s0, s1 = (self.eval_smoothed(*smooth(dd, tails, flips, bad, through))
                   for through in _smoothings(bad))
@@ -79,9 +79,6 @@ def kauffman_lambda(dd: DoubleDiagram, max_nodes: int = 2_000_000) -> Laurent2:
 
 def kauffman_f(dd: DoubleDiagram, max_nodes: int = 2_000_000) -> Laurent2:
     """Kauffman polynomial F of a knot diagram: a^-w Lambda."""
-    if dd.n and dd.num_components() != 1:
-        raise ValueError("kauffman_f normalizes by knot writhe; knots only")
-    if dd.n == 0:
-        return Laurent2.one()
+    # orientations() refuses a link: F normalises by the knot writhe
     w = dd.writhe(dd.orientations()[0])
     return kauffman_lambda(dd, max_nodes).scale(1, -w, 0)

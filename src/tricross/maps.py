@@ -123,24 +123,32 @@ class _Map:
         V = self.V
         return _cycles([a + 1 if (a + 1) % V else a + 1 - V for a in self.alpha])
 
-    def is_connected(self) -> bool:
-        """Every crossing is reached from crossing 0 along the pairing."""
+    def crossing_components(self) -> List[List[int]]:
+        """Connected components of the crossing graph (crossings joined by
+        the pairing), each ascending, ordered by their smallest crossing."""
         n, V, alpha = self.n, self.V, self.alpha
-        if n == 0:
-            return True
         seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        reached = 1
-        while stack:
-            c = stack.pop()
-            for e in alpha[V * c:V * c + V]:
-                u = e // V
-                if not seen[u]:
-                    seen[u] = True
-                    reached += 1
-                    stack.append(u)
-        return reached == n
+        out: List[List[int]] = []
+        for root in range(n):
+            if seen[root]:
+                continue
+            seen[root] = True
+            part = [root]
+            stack = [root]
+            while stack:
+                c = stack.pop()
+                for e in alpha[V * c:V * c + V]:
+                    u = e // V
+                    if not seen[u]:
+                        seen[u] = True
+                        part.append(u)
+                        stack.append(u)
+            out.append(sorted(part))
+        return out
+
+    def is_connected(self) -> bool:
+        """The crossing graph has at most one component."""
+        return len(self.crossing_components()) <= 1
 
     def is_spherical(self) -> bool:
         """Connected, and V - E + F = 2 by face tracing."""
@@ -159,17 +167,22 @@ class _Map:
         if len(self.faces()) != (self.V // 2 - 1) * n + 2:
             raise DiagramError("rotation system is not spherical")
 
-    def _walks(self) -> List[List[int]]:
-        """Orbits of ``d -> opposite(alpha[d])``: the tail darts of one strand
-        component in one direction.  Each component has two, one per
-        direction (the pairing maps one onto the other)."""
+    def walks(self, tails: Optional[Orientation] = None) -> List[List[int]]:
+        """Strand walks: orbits of ``d -> opposite(alpha[d])``, the tail
+        darts of one strand component in one direction, each from its
+        smallest dart and ordered by it.
+
+        Each component has two orbits, one per direction (the pairing maps
+        one onto the other).  With ``tails`` (a union of orbits) the walks are
+        the orbits that lie in ``tails``; without, the first orbit of each
+        component."""
         V, alpha = self.V, self.alpha
         half = V // 2
         total = V * self.n
         seen = [False] * total
         out: List[List[int]] = []
         for start in range(total):
-            if seen[start]:
+            if seen[start] or (tails is not None and start not in tails):
                 continue
             walk = []
             d = start
@@ -177,6 +190,7 @@ class _Map:
                 seen[d] = True
                 walk.append(d)
                 e = alpha[d]
+                seen[e] = True  # the reverse orbit
                 d = e + half if e % V < half else e - half
             out.append(walk)
         return out
@@ -184,28 +198,19 @@ class _Map:
     def strand_components(self) -> List[List[int]]:
         """The darts of each strand component, sorted, by smallest dart."""
         alpha = self.alpha
-        seen = set()
-        out = []
-        for walk in self._walks():
-            if walk[0] not in seen:
-                component = sorted(walk + [alpha[d] for d in walk])
-                seen.update(component)
-                out.append(component)
-        return out
+        return [sorted(walk + [alpha[d] for d in walk]) for walk in self.walks()]
 
     def num_components(self) -> int:
-        if self.n == 0:
-            return 1
-        return len(self._walks()) // 2
+        return len(self.walks()) if self.n else 1
 
     def orientations(self) -> List[Orientation]:
         """Tail-dart sets of the two traversal directions of a knot."""
         if self.n == 0:
             return [frozenset(), frozenset()]
-        walks = self._walks()
-        if len(walks) != 2:
+        walks = self.walks()
+        if len(walks) != 1:
             raise DiagramError("not a knot: more than one component")
-        return [frozenset(w) for w in walks]
+        return [frozenset(walks[0]), frozenset(self.alpha[d] for d in walks[0])]
 
 
 # ---------------------------------------------------------------------------

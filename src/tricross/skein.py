@@ -24,11 +24,16 @@ extra part), memoises reduced states and bounds work by a budget on
 recursion nodes; exceeding it raises ``BudgetError``.  A subclass supplies
 ``delta``, the factor of a kink writhe and the skein rule for a connected
 diagram.
+
+The module keeps no traversal of its own: the strand walks
+(:meth:`DoubleDiagram.walks`) and the parts of the crossing graph
+(:meth:`DoubleDiagram.crossing_components`) come from the shared map class,
+and a smoothing re-pairs only the darts glued to the dropped crossing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .laurent import Laurent2
 from .maps import DoubleDiagram, d_opposite, d_sigma
@@ -41,31 +46,10 @@ class BudgetError(RuntimeError):
     """The skein recursion exceeded its crossing or node budget."""
 
 
-def walks(dd: DoubleDiagram, tails: Optional[Darts] = None) -> List[List[int]]:
-    """Strand components as walks of outgoing darts, by first dart.
-
-    With ``tails`` each component follows the orientation from its smallest
-    tail dart; without, it starts at its smallest dart."""
-    seen = set()
-    out = []
-    for start in range(4 * dd.n):
-        if start in seen or (tails is not None and start not in tails):
-            continue
-        walk = []
-        d = start
-        while d not in seen:
-            seen.add(d)
-            seen.add(d_opposite(d))
-            walk.append(d)
-            d = d_opposite(dd.alpha[d])
-        out.append(walk)
-    return out
-
-
 def first_bad_crossing(dd: DoubleDiagram, tails: Darts, flips: Flips) -> Optional[int]:
     """First crossing, in walk order, first reached on its under-strand."""
     visited = set()
-    for walk in walks(dd, tails or None):
+    for walk in dd.walks(tails or None):
         for d in walk:
             c = d // 4
             if c in visited:
@@ -76,39 +60,23 @@ def first_bad_crossing(dd: DoubleDiagram, tails: Darts, flips: Flips) -> Optiona
     return None
 
 
-def _split_crossings(dd: DoubleDiagram) -> List[List[int]]:
-    """Connected components of the crossing graph."""
-    parent = list(range(dd.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for d in range(4 * dd.n):
-        a, b = find(d // 4), find(dd.alpha[d] // 4)
-        if a != b:
-            parent[a] = b
-    groups: Dict[int, List[int]] = {}
-    for c in range(dd.n):
-        groups.setdefault(find(c), []).append(c)
-    return sorted(groups.values())
-
-
-def _sub_diagram(
-    dd: DoubleDiagram, tails: Darts, flips: Flips, crossings: List[int]
+def _renumber(
+    alpha: Sequence[int], tails: Darts, flips: Flips, crossings: List[int]
 ) -> Tuple[DoubleDiagram, Darts, Flips]:
-    index = {c: i for i, c in enumerate(crossings)}
-    alpha = [0] * (4 * len(crossings))
-    for c in crossings:
-        for s in range(4):
-            e = dd.alpha[4 * c + s]
-            alpha[4 * index[c] + s] = 4 * index[e // 4] + e % 4
+    """The diagram on ``crossings`` (ascending), whose darts ``alpha`` pairs
+    among themselves, numbered in that order, with its tails and flips.
+
+    An empty orientation or flip set is passed on, not copied: it sits in
+    every memo key."""
+    index = [-1] * (len(alpha) // 4)
+    for i, c in enumerate(crossings):
+        index[c] = i
+    sub_alpha = [4 * index[e // 4] + e % 4
+                 for c in crossings for e in alpha[4 * c:4 * c + 4]]
     sub_tails = tails and frozenset(
-        4 * index[d // 4] + d % 4 for d in tails if d // 4 in index)
-    sub_flips = flips and frozenset(index[f] for f in flips if f in index)
-    return DoubleDiagram(alpha, len(crossings)), sub_tails, sub_flips
+        4 * index[d // 4] + d % 4 for d in tails if index[d // 4] >= 0)
+    sub_flips = flips and frozenset(index[f] for f in flips if index[f] >= 0)
+    return DoubleDiagram(sub_alpha, len(crossings)), sub_tails, sub_flips
 
 
 def smooth(
@@ -119,49 +87,29 @@ def smooth(
     Returns the smaller diagram with its tails and flips relabelled, and the
     number of circles freed (those that run only through ``c``).
     """
-    local = set(through)
-    pairs = []
+    alpha = list(dd.alpha)
     seen = set()
-    for d in range(4 * dd.n):
-        if d in local or d in seen:
+    for d in through:
+        e = dd.alpha[d]
+        if e // 4 == c:
             continue
-        e = dd.alpha[d]
-        while e in local:
-            e = dd.alpha[through[e]]
-        pairs.append((d, e))
-        seen.add(d)
-        seen.add(e)
-    # circles living entirely on the removed crossing
-    parent = {d: d for d in local}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    external = set()
-    for d in local:
-        parent[find(d)] = find(through[d])
-        e = dd.alpha[d]
-        if e in local:
-            parent[find(d)] = find(e)
-        else:
-            external.add(d)
-    loops = len({find(d) for d in local} - {find(d) for d in external})
-
-    def relabel(d: int) -> int:
-        return d - 4 if d // 4 > c else d
-
-    alpha = [0] * (4 * (dd.n - 1))
-    for d, e in pairs:
-        alpha[relabel(d)] = relabel(e)
-        alpha[relabel(e)] = relabel(d)
-    # an empty orientation or flip set is passed on, not copied: it sits in
-    # every memo key
-    new_tails = tails and frozenset(relabel(d) for d in tails if d // 4 != c)
-    new_flips = flips and frozenset(f - 1 if f > c else f for f in flips if f != c)
-    return DoubleDiagram(alpha, dd.n - 1), new_tails, new_flips, loops
+        # the strand that enters c at d runs through c until it leaves
+        while d // 4 == c:
+            seen.add(d)
+            seen.add(through[d])
+            d = dd.alpha[through[d]]
+        alpha[e] = d
+    # the darts of c that no strand reached close into circles
+    loops = 0
+    for d in through:
+        if d not in seen:
+            loops += 1
+            while d not in seen:
+                seen.add(d)
+                seen.add(through[d])
+                d = dd.alpha[through[d]]
+    crossings = [k for k in range(dd.n) if k != c]
+    return (*_renumber(alpha, tails, flips, crossings), loops)
 
 
 def _uncross(x: int, y: int) -> Dict[int, int]:
@@ -253,12 +201,12 @@ class Engine:
     def _expand(self, dd: DoubleDiagram, tails: Darts, flips: Flips) -> Laurent2:
         if dd.n == 0:
             return Laurent2.one()
-        parts = _split_crossings(dd)
+        parts = dd.crossing_components()
         if len(parts) == 1:
             return self.connected(dd, tails, flips)
         result = self.delta ** (len(parts) - 1)
         for crossings in parts:
-            result = result * self.eval(*_sub_diagram(dd, tails, flips, crossings))
+            result = result * self.eval(*_renumber(dd.alpha, tails, flips, crossings))
         return result
 
     def _with_circles(self, value: Laurent2, n: int, loops: int) -> Laurent2:

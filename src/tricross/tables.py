@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -28,16 +29,6 @@ from .maps import DiagramError, DoubleDiagram, TripleDiagram
 # ---------------------------------------------------------------------------
 
 
-class _EdgeLabels:
-    def __init__(self) -> None:
-        self.next = 1
-
-    def take(self) -> int:
-        out = self.next
-        self.next += 1
-        return out
-
-
 def rational_knot_pd(twists: Sequence[int]) -> List[List[int]]:
     """PD code of the 2-bridge knot with alternating twist vector ``twists``.
 
@@ -50,22 +41,22 @@ def rational_knot_pd(twists: Sequence[int]) -> List[List[int]]:
     """
     if not twists or any(a < 1 for a in twists):
         raise DiagramError("twist vector entries must be positive")
-    labels = _EdgeLabels()
+    labels = itertools.count(1)
     # 0-tangle: two horizontal strands, so each left end is its right end's arc
-    nw = ne = labels.take()
-    sw = se = labels.take()
+    nw = ne = next(labels)
+    sw = se = next(labels)
     crossings: List[List[int]] = []
     # the innermost group must act on distinct strands, hence horizontally
     horizontal = True
     for a in twists:
         for _ in range(a):
             if horizontal:
-                new_ne, new_se = labels.take(), labels.take()
+                new_ne, new_se = next(labels), next(labels)
                 # right-hand ends twist: alternating, under strand enters at ne
                 crossings.append([ne, new_ne, new_se, se])
                 ne, se = new_ne, new_se
             else:
-                new_sw, new_se = labels.take(), labels.take()
+                new_sw, new_se = next(labels), next(labels)
                 crossings.append([sw, se, new_se, new_sw])
                 sw, se = new_sw, new_se
         horizontal = not horizontal
@@ -83,8 +74,8 @@ def braid_closure_pd(strands: int, word: Sequence[int]) -> List[List[int]]:
     """PD code of the closure of a braid word (letter ``+i``/``-i`` = sigma_i^??1)."""
     if strands < 2 or not word:
         raise DiagramError("need at least 2 strands and a nonempty word")
-    labels = _EdgeLabels()
-    top = [labels.take() for _ in range(strands)]
+    labels = itertools.count(1)
+    top = [next(labels) for _ in range(strands)]
     cur = list(top)
     crossings: List[List[int]] = []
     for letter in word:
@@ -92,7 +83,7 @@ def braid_closure_pd(strands: int, word: Sequence[int]) -> List[List[int]]:
         if not 0 <= i < strands - 1:
             raise DiagramError(f"braid letter {letter} out of range")
         a, b = cur[i], cur[i + 1]
-        c, d = labels.take(), labels.take()
+        c, d = next(labels), next(labels)
         if letter > 0:
             # sigma_i: strand i+1 passes over strand i
             crossings.append([a, b, d, c])

@@ -10,6 +10,7 @@ from tricross import (
     parse_spd,
     rational_knot_pd,
 )
+from tricross.homfly import DELTA
 from tricross.laurent import Laurent2
 from conftest import PD_FIG8, PD_KINK, PD_TREFOIL, T2_1, T2_2
 
@@ -51,3 +52,31 @@ def test_budget_error_raised(invariant):
     dd = convert_to_double(parse_spd(T2_2))
     with pytest.raises(BudgetError):
         invariant(dd, max_nodes=3)
+
+
+def _hopf():
+    dd = DoubleDiagram.from_pd(rational_knot_pd((2,)))
+    assert dd.num_components() == 2
+    return dd
+
+
+def test_hopf_link_with_tails():
+    # P(Hopf) = (a^-1 - a^-3) z^-1 + a^-1 z, up to mirror
+    want = Laurent2({(-1, -1): 1, (-3, -1): -1, (-1, 1): 1})
+    dd = _hopf()
+    tails = frozenset(d for walk in dd.walks() for d in walk)
+    assert homfly(dd, tails) in (want, want.mirror())
+
+
+def test_hopf_link_without_tails_is_refused():
+    with pytest.raises(ValueError):
+        homfly(_hopf())
+
+
+def test_split_union_of_two_trefoils():
+    t = DoubleDiagram.from_pd(PD_TREFOIL)
+    tails = t.orientations()[0]
+    shift = 4 * t.n
+    dd = DoubleDiagram(t.alpha + tuple(d + shift for d in t.alpha))
+    both = tails | {d + shift for d in tails}
+    assert homfly(dd, both) == DELTA * homfly(t, tails) ** 2

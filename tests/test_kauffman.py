@@ -191,3 +191,14 @@ def test_kinks_and_same_level_bigons_on_random_diagrams(seed, projections_n3):
     assert kauffman_lambda(pushed) == lam
     assert (kauffman_f(pushed), homfly(pushed)) == (f, h)
     assert kauffman_to_jones(f) == bracket_jones(pushed)
+
+
+def test_kauffman_f_refuses_a_link():
+    with pytest.raises(ValueError):
+        kauffman_f(DoubleDiagram.from_pd(rational_knot_pd((2,))))
+
+
+def test_kauffman_lambda_of_a_split_union():
+    t = DoubleDiagram.from_pd(PD_TREFOIL)
+    dd = DoubleDiagram(t.alpha + tuple(d + 4 * t.n for d in t.alpha))
+    assert kauffman_lambda(dd) == DELTA_K * kauffman_lambda(t) ** 2

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tricross import (
@@ -140,3 +142,66 @@ def test_natural_orientations_refuse_a_link():
     two = parse_spd("sPD[X[1,2,2,1,3,3]]")
     with pytest.raises(InternalConsistencyError):
         natural_orientations(TripleDiagram(two, ["TMB"]))
+
+
+def _reference_walks(dd, tails=None):
+    """The skein engine's strand walk as it was written on its own: each
+    component from its smallest tail dart (smallest dart without tails)."""
+    def opposite(d):
+        return 4 * (d // 4) + (d % 4 + 2) % 4
+
+    seen = set()
+    out = []
+    for start in range(4 * dd.n):
+        if start in seen or (tails is not None and start not in tails):
+            continue
+        walk = []
+        d = start
+        while d not in seen:
+            seen.add(d)
+            seen.add(opposite(d))
+            walk.append(d)
+            d = opposite(dd.alpha[d])
+        out.append(walk)
+    return out
+
+
+def _reference_components(dd):
+    """Crossing-graph components by union-find."""
+    parent = list(range(dd.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for d, e in enumerate(dd.alpha):
+        parent[find(d // 4)] = find(e // 4)
+    groups = {}
+    for c in range(dd.n):
+        groups.setdefault(find(c), []).append(c)
+    return sorted(groups.values())
+
+
+def test_walks_and_components_match_references_on_random_pairings():
+    rng = random.Random(2024)
+    shapes = set()
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        darts = list(range(4 * n))
+        rng.shuffle(darts)
+        alpha = [0] * (4 * n)
+        for a, b in zip(darts[::2], darts[1::2]):
+            alpha[a], alpha[b] = b, a
+        dd = DoubleDiagram(alpha, n)
+        assert dd.walks() == _reference_walks(dd)
+        # an orientation: each component in a random direction
+        tails = frozenset(
+            d for walk in _reference_walks(dd)
+            for d in (walk if rng.random() < 0.5 else [alpha[e] for e in walk]))
+        assert dd.walks(tails) == _reference_walks(dd, tails)
+        parts = dd.crossing_components()
+        assert parts == _reference_components(dd)
+        assert dd.is_connected() == (len(parts) == 1)
+        shapes.add((len(parts) > 1, dd.num_components() > 1))
+    assert shapes == {(False, False), (False, True), (True, True)}
