@@ -10,30 +10,20 @@ yields the mirror projection, so the reversed sense is only allowed when
 folding mirrors.  For a diagram, a reflection combined with exchanging top and
 bottom heights is a view of the same knot from the other side of the sphere,
 while either operation alone gives the mirror knot; the allowed
-(sense, height-operation) pairs below encode exactly that.
+(sense, height-operation) pairs below encode exactly that.  Since they cover
+both senses, the trace part of a diagram code is the mirror-folded projection
+code, and its height words are the least read in the frames of the traces
+that equal that code.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import List, Tuple, Union
 
 from .maps import TripleDiagram, TripleProjection
 
 _RANK_REVERSE = str.maketrans("TB", "BT")
-
-
-def _trace(
-    alpha: List[int], n: int, root: int, direction: int
-) -> Tuple[Tuple[int, ...], List[int], List[int]]:
-    """Relabeling trace from one root; also returns each crossing's frame.
-
-    The frame of crossing ``c`` is ``(base slot, direction)``: new slot ``k``
-    reads old slot ``base + direction * k``.  Returns the code tuple, the new
-    order of the old crossings, and their base slots.
-    """
-    code, order, base, new_id = _start_trace(n, root)
-    _extend_trace(alpha, direction, code, order, base, new_id, 6 * n)
-    return tuple(code), order, base
 
 
 def _start_trace(n: int, root: int) -> Tuple[List[int], List[int], List[int], List[int]]:
@@ -84,21 +74,38 @@ def _height_word(word: str, base: int, direction: int, reverse_ranks: bool) -> s
     return out.translate(_RANK_REVERSE) if reverse_ranks else out
 
 
+@functools.lru_cache(maxsize=2)
+def _frames(
+    alpha: Tuple[int, ...], n: int, directions: Tuple[int, ...]
+) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...]], ...]]:
+    """Smallest relabeling trace over all roots and the given senses, and the
+    frame ``(sense, order, base)`` of every trace equal to it.
+
+    ``order`` is the new order of the old crossings and ``base`` their base
+    slots: new slot ``k`` of new crossing ``i`` reads old slot
+    ``base[i] + sense * k`` of crossing ``order[i]``.  The callers canonicalise
+    the height words of one projection in a row, so a small cache suffices.
+    """
+    best, frames = None, []
+    for direction in directions:
+        for root in range(6 * n):
+            code, order, base, new_id = _start_trace(n, root)
+            _extend_trace(alpha, direction, code, order, base, new_id, 6 * n)
+            code = tuple(code)
+            if best is None or code < best:
+                best, frames = code, []
+            if code == best:
+                frames.append((direction, tuple(order), tuple(base)))
+    return best, tuple(frames)
+
+
 def canonical_projection_code(
     proj: TripleProjection, fold_mirror: bool = True
 ) -> Tuple[int, ...]:
     """Smallest relabeling trace; with ``fold_mirror`` also over reflections."""
-    n = proj.n
-    if n == 0:
+    if proj.n == 0:
         return ()
-    directions = (1, -1) if fold_mirror else (1,)
-    best = None
-    for direction in directions:
-        for root in range(6 * n):
-            code, _, _ = _trace(proj.alpha, n, root, direction)
-            if best is None or code < best:
-                best = code
-    return best
+    return _frames(proj.alpha, proj.n, (1, -1) if fold_mirror else (1,))[0]
 
 
 # (sense, reverse_ranks) pairs giving the same knot / the mirror knot.
@@ -113,20 +120,14 @@ def canonical_diagram_code(
     n = diagram.n
     if n == 0:
         return ((), ())
+    code, frames = _frames(diagram.projection.alpha, n, (1, -1))
     views = _SAME_KNOT + (_MIRROR_KNOT if fold_mirror else ())
-    alpha = diagram.projection.alpha
-    best = None
-    for direction, reverse_ranks in views:
-        for root in range(6 * n):
-            code, order, base = _trace(alpha, n, root, direction)
-            words = tuple(
-                _height_word(diagram.heights[order[i]], base[i], direction, reverse_ranks)
-                for i in range(n)
-            )
-            cand = (code, words)
-            if best is None or cand < best:
-                best = cand
-    return best
+    return code, min(
+        tuple(_height_word(diagram.heights[c], b, sense, reverse_ranks)
+              for c, b in zip(order, base))
+        for sense, order, base in frames
+        for view_sense, reverse_ranks in views if view_sense == sense
+    )
 
 
 def diagrams_equivalent(

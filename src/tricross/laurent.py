@@ -94,7 +94,7 @@ class HalfLaurent:
                 c[e] = nv
             else:
                 c.pop(e, None)
-        return HalfLaurent(c)
+        return type(self)(c)
 
     def __sub__(self, other: "HalfLaurent") -> "HalfLaurent":
         return self + (-other)
@@ -109,18 +109,18 @@ class HalfLaurent:
                     c[e] = nv
                 else:
                     c.pop(e, None)
-        return HalfLaurent(c)
+        return type(self)(c)
 
     def scale(self, k: int, exp2: int = 0) -> "HalfLaurent":
         """Multiply by the monomial ``k * t^(exp2/2)``."""
         if not k:
-            return HalfLaurent()
-        return HalfLaurent({e + exp2: v * k for e, v in self._c.items()})
+            return type(self)()
+        return type(self)({e + exp2: v * k for e, v in self._c.items()})
 
     def __pow__(self, n: int) -> "HalfLaurent":
         if n < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        out = HalfLaurent.one()
+        out = type(self).one()
         base = self
         while n:
             if n & 1:
@@ -202,12 +202,6 @@ class IntLaurent(HalfLaurent):
 
     def int_coeffs(self) -> Dict[int, int]:
         return {e // 2: v for e, v in self._c.items()}
-
-    def __add__(self, other):  # keep the subclass type on arithmetic
-        return IntLaurent(HalfLaurent.__add__(self, other).coeffs)
-
-    def __mul__(self, other):
-        return IntLaurent(HalfLaurent.__mul__(self, other).coeffs)
 
 
 def breadth(p: IntLaurent) -> int:

@@ -195,11 +195,6 @@ class _Map:
             out.append(walk)
         return out
 
-    def strand_components(self) -> List[List[int]]:
-        """The darts of each strand component, sorted, by smallest dart."""
-        alpha = self.alpha
-        return [sorted(walk + [alpha[d] for d in walk]) for walk in self.walks()]
-
     def num_components(self) -> int:
         return len(self.walks()) if self.n else 1
 

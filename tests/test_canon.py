@@ -12,7 +12,14 @@ from tricross import (
     parse_spd,
     serialize_spd,
 )
-from tricross.canon import _diagram_from_code
+from tricross.canon import (
+    _MIRROR_KNOT,
+    _SAME_KNOT,
+    _diagram_from_code,
+    _extend_trace,
+    _height_word,
+    _start_trace,
+)
 from tricross.enumeration import HEIGHT_WORDS
 from tricross.maps import TripleProjection
 from conftest import T2_1, T2_2
@@ -38,9 +45,10 @@ def brute_force_isomorphic(p, q, allow_mirror):
     return try_maps(False) or (allow_mirror and try_maps(True))
 
 
-def relabel(p, perm, rots, reflect):
+def relabel(p, perm, rots, reflect, heights=None):
     """``p`` with crossing ``c`` renamed ``perm[c]`` and its slots rotated by
-    ``rots[c]``, and reflected when ``reflect`` (the maps tried above)."""
+    ``rots[c]``, and reflected when ``reflect`` (the maps tried above); given
+    the ``heights`` of a diagram on ``p``, the diagram with them carried along."""
     def phi(d):
         c, s = d // 6, d % 6
         s2 = (rots[c] - s) % 6 if reflect else (s + rots[c]) % 6
@@ -48,7 +56,40 @@ def relabel(p, perm, rots, reflect):
     alpha = [0] * (6 * p.n)
     for d in range(6 * p.n):
         alpha[phi(d)] = phi(p.alpha[d])
-    return TripleProjection(alpha, p.n)
+    q = TripleProjection(alpha, p.n)
+    if heights is None:
+        return q
+    # strand j (slots j, j + 3) becomes the strand of the slot phi sends j to
+    words = [None] * p.n
+    for c, w in enumerate(heights):
+        words[perm[c]] = "".join(
+            w[(rots[c] - j if reflect else j - rots[c]) % 3] for j in range(3))
+    return TripleDiagram(q, words)
+
+
+def _traces(p, senses):
+    """``(sense, code, order, base)`` of the trace from every root in every
+    sense."""
+    for sense in senses:
+        for root in range(6 * p.n):
+            code, order, base, new_id = _start_trace(p.n, root)
+            _extend_trace(p.alpha, sense, code, order, base, new_id, 6 * p.n)
+            yield sense, tuple(code), order, base
+
+
+def _reference_projection_code(p, fold_mirror):
+    return min(code for _, code, _, _ in _traces(p, (1, -1) if fold_mirror else (1,)))
+
+
+def _reference_diagram_code(d, fold_mirror):
+    """Smallest (trace, height words) over every root and every allowed view."""
+    views = _SAME_KNOT + (_MIRROR_KNOT if fold_mirror else ())
+    return min(
+        (code, tuple(_height_word(d.heights[c], b, sense, reverse_ranks)
+                     for c, b in zip(order, base)))
+        for view_sense, reverse_ranks in views
+        for sense, code, order, base in _traces(d.projection, (view_sense,))
+    )
 
 
 def _check_codes_vs_brute_force(n):
@@ -140,3 +181,29 @@ def test_folded_code_and_rebuild_from_unfolded_codes():
                     canonical_form(d))
                 words_seen += 1
     assert words_seen == 468
+
+
+def test_codes_equal_the_all_views_minimum():
+    # every height word of the n <= 3 projections, then seeded n = 4
+    # diagrams relabelled, half of them reflected with T <-> B swapped (the
+    # same knot seen from the other side), in both fold modes
+    swap = str.maketrans("TB", "BT")
+    rng = random.Random(11)
+    projections = {n: enumerate_projections(n) for n in (1, 2, 3, 4)}
+    diagrams = [TripleDiagram(p, words) for n in (1, 2, 3) for p in projections[n]
+                for words in itertools.product(HEIGHT_WORDS, repeat=n)]
+    for p in projections[4]:
+        for _ in range(12):
+            d = TripleDiagram(p, [rng.choice(HEIGHT_WORDS) for _ in range(4)])
+            reflect = rng.random() < 0.5
+            e = relabel(p, rng.sample(range(4), 4), [rng.randrange(6) for _ in range(4)],
+                        reflect, [w.translate(swap) if reflect else w for w in d.heights])
+            assert canonical_diagram_code(e) == canonical_diagram_code(d)
+            diagrams += [d, e]
+    assert len(diagrams) == 474 + 24 * len(projections[4])
+    for d in diagrams:
+        for fold in (False, True):
+            assert canonical_diagram_code(d, fold) == _reference_diagram_code(d, fold)
+    for p in {d.projection for d in diagrams}:
+        for fold in (False, True):
+            assert canonical_projection_code(p, fold) == _reference_projection_code(p, fold)

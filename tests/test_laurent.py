@@ -55,6 +55,10 @@ def test_int_laurent_keeps_type_under_arithmetic():
     a = IntLaurent.from_int_coeffs({0: 1, 1: 1})
     assert isinstance(a + a, IntLaurent)
     assert isinstance(a * a, IntLaurent)
+    for value in (a - a, -a, a ** 2, a ** 0, a.scale(3, 2), a.scale(0)):
+        assert isinstance(value, IntLaurent)
+    assert (a ** 2).int_coeffs() == {0: 1, 1: 2, 2: 1}
+    assert a.scale(3, 2).int_coeffs() == {1: 3, 2: 3}
 
 
 def test_laurent2_ring_ops():
