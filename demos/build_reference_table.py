@@ -13,6 +13,7 @@ Run from the repository root:
     python3 demos/build_reference_table.py [output.csv]
 
 Without an argument it overwrites the bundled copy in the source tree.
+Exits 1 when the regenerated rows differ from the bundled copy.
 """
 
 import os
@@ -27,7 +28,7 @@ BUNDLED = os.path.join(
 )
 
 
-def main() -> None:
+def main() -> int:
     out = sys.argv[1] if len(sys.argv) > 1 else os.path.normpath(BUNDLED)
     # read the bundled copy before it may be overwritten
     bundled = {r.name: r.fingerprint for r in load_reference()}
@@ -39,10 +40,11 @@ def main() -> None:
     fresh = {r.name: r.fingerprint for r in rows}
     if bundled == fresh:
         print("regenerated table matches the bundled copy")
-    else:
-        diff = {k for k in bundled if bundled.get(k) != fresh.get(k)}
-        print(f"WARNING: table changed for {sorted(diff)}")
+        return 0
+    diff = {k for k in bundled.keys() | fresh.keys() if bundled.get(k) != fresh.get(k)}
+    print(f"WARNING: table changed for {sorted(diff)}")
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

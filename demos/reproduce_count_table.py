@@ -9,8 +9,7 @@ all height words, and groups the resulting diagrams into knot classes by
     n=4: 15 projections  27 new knot classes   (3 flagged composite-fingerprint,
                                                 24 unflagged)
 
-The run takes several minutes on one core.  Pass a max n as the first argument
-to stop earlier (default 4).
+Pass a max n as the first argument to stop earlier (default 4).
 
     python3 demos/reproduce_count_table.py [max_n]
 """

@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, TextIO
 
+from .alexander import alexander
 from .enumeration import (
     Budget,
     BudgetExceeded,
@@ -26,7 +27,8 @@ from .enumeration import (
     enumerate_projections,
 )
 from .homfly import BudgetError, homfly
-from .laurent import IntLaurent, breadth, is_monic
+from .jones import jones_triple
+from .laurent import breadth, is_monic
 from .maps import DiagramError, TripleDiagram, TripleProjection
 from .spd import parse_spd, serialize_spd
 from .tables import conjecture_report, emit_table, emit_tikz, identify, load_reference
@@ -88,13 +90,9 @@ def cmd_invariants(cfg: RunConfig, spd_file: str) -> int:
     obj = parse_spd(text)
     if not isinstance(obj, TripleDiagram):
         return _error("input is a bare projection; invariants need heights")
-    from .jones import jones_triple
-
-    from .alexander import alexander
-
     v = jones_triple(obj)
     dd = convert_to_double(obj)
-    a = IntLaurent.from_int_coeffs({0: 1}) if dd.n == 0 else alexander(dd)
+    a = alexander(dd)
     record = {
         "jones": str(v),
         "alexander": str(a),
@@ -102,7 +100,7 @@ def cmd_invariants(cfg: RunConfig, spd_file: str) -> int:
         "monic": is_monic(a),
     }
     try:
-        record["homfly"] = str(homfly(dd)) if dd.n else "1*a^0*z^0"
+        record["homfly"] = str(homfly(dd))
     except BudgetError:
         record["homfly"] = None
     _emit(_open_out(cfg.out), json.dumps(record))

@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .laurent import HalfLaurent
 from .maps import DiagramError, DoubleDiagram, TripleDiagram, TripleProjection
-from .tangle import TANGLE_ENDS, local_writhe, tangle_slots
+from .tangle import local_tangle, local_writhe
 
 Matching = FrozenSet[FrozenSet[int]]
 
@@ -265,45 +265,25 @@ class TripleRelation:
 def _tangle_bracket(word: str) -> Dict[Matching, Dict[int, int]]:
     """Bracket expansion of the deconstructed triple crossing.
 
-    Returns, per boundary matching, the A-polynomial collected over the
-    eight local states (closed loops already folded in).
+    Walks the 12-dart table of :func:`local_tangle`: returns, per boundary
+    matching, the A-polynomial collected over the eight local states
+    (closed loops already folded in).
     """
-    ports = [(x, a) for x, ends in TANGLE_ENDS.items() for a, _, _ in ends]
-    port_idx = {p: i for i, p in enumerate(ports)}
-    bd_of: Dict[int, int] = {}
-    # port -> the port at the far end of its internal tangle edge
-    edge_to: Dict[int, int] = {}
-    for x, ends in TANGLE_ENDS.items():
-        for a, _, conn in ends:
-            if conn[0] == "bd":
-                bd_of[port_idx[(x, a)]] = conn[1]
-            else:
-                edge_to[port_idx[(x, a)]] = port_idx[conn]
-    # per crossing, its four ports in slot order (under-strand at slot 0)
-    slot_ports: Dict[str, List[int]] = {}
-    for x in "abc":
-        entries = []
-        for _, conn in tangle_slots(x, word):
-            # this crossing's own port carrying that connection
-            for a, _, c2 in TANGLE_ENDS[x]:
-                if c2 == conn:
-                    entries.append(port_idx[(x, a)])
-                    break
-        assert len(entries) == 4
-        slot_ports[x] = entries
-
+    # dart -> the dart at the far end of its internal tangle edge
+    edge_to, boundary = local_tangle(word)
+    bd_of = {d: slot for slot, d in enumerate(boundary)}
     out: Dict[Matching, Dict[int, int]] = {}
     for state in itertools.product((0, 1), repeat=3):
-        # port -> the port its crossing's smoothing joins it to
-        joined: Dict[int, int] = {}
+        # dart -> the dart its crossing's smoothing joins it to
+        joined = [0] * 12
         a_exp = 0
-        for x, bit in zip("abc", state):
-            s0, s1, s2, s3 = slot_ports[x]
+        for i, bit in enumerate(state):
+            s0, s1, s2, s3 = range(4 * i, 4 * i + 4)
             a_exp += 1 if bit else -1
             for p, q in ((s1, s2), (s3, s0)) if bit else ((s0, s1), (s2, s3)):
                 joined[p], joined[q] = q, p
-        # an arc runs from a boundary port, alternating smoothings and
-        # internal edges, to another boundary port; what is left is loops
+        # an arc runs from a boundary dart, alternating smoothings and
+        # internal edges, to another boundary dart; what is left is loops
         seen = set(bd_of)
         pairs = []
         for p in bd_of:
@@ -316,7 +296,7 @@ def _tangle_bracket(word: str) -> Dict[Matching, Dict[int, int]]:
             if p < q:
                 pairs.append(frozenset((bd_of[p], bd_of[q])))
         loops = 0
-        for p in range(len(ports)):
+        for p in range(12):
             if p in seen:
                 continue
             loops += 1

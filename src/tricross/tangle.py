@@ -14,13 +14,19 @@ Geometry of the fixed perturbation (strand 1 pushed off the common point):
 * crossing ``b`` = strands 0 x 1, ends at angles 0, 60, 180, 240;
 * crossing ``c`` = strands 1 x 2, ends at angles 60, 120, 240, 300.
 
-Each entry below is ``(angle, strand, connection)`` where the connection is
-either ``("bd", slot)`` for a tangle boundary end or ``(crossing, angle)``
-for an internal edge.
+Each entry of :data:`TANGLE_ENDS` is ``(angle, strand, connection)`` where
+the connection is either ``("bd", slot)`` for a tangle boundary end or
+``(crossing, angle)`` for an internal edge.  Only this module reads it: per
+height word, :func:`local_tangle` turns it into one 12-dart table (dart
+``4 i + s`` is slot ``s`` of sub-crossing ``"abc"[i]``, under-strand at
+slots 0 and 2; each dart's internal partner, and the dart at each boundary
+slot), built once per word.  :func:`convert_to_double` copies that table
+into every triple crossing, and the Jones relation walks it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .maps import HEIGHT_RANK, DoubleDiagram, TripleDiagram
@@ -77,78 +83,55 @@ def local_writhe(heights: str) -> int:
     return sum(local_crossing_sign(x, heights) for x in "abc")
 
 
-def tangle_slots(crossing: str, heights: str) -> List[Tuple[int, Tuple]]:
-    """Ends of one internal crossing in slot order.
+@lru_cache(maxsize=None)
+def local_tangle(heights: str) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The 12-dart table of the tangle for one height word.
 
-    Returns four ``(strand, connection)`` entries, counterclockwise, rotated
-    so the under-strand occupies slots 0 and 2.
+    Dart ``4 i + s`` is slot ``s`` of sub-crossing ``"abc"[i]``, counted
+    counterclockwise from an end of its under-strand, so the under-strand
+    holds slots 0 and 2.  Returns the internal partner of each dart (``-1``
+    at a boundary end) and the dart at each boundary slot ``0..5``.
     """
-    ends = sorted(TANGLE_ENDS[crossing])
-    s1, s2 = TANGLE_STRANDS[crossing]
-    under = s1 if HEIGHT_RANK[heights[s1]] < HEIGHT_RANK[heights[s2]] else s2
-    if ends[0][1] != under:
-        ends = ends[1:] + ends[:1]
-    return [(strand, conn) for _, strand, conn in ends]
+    dart: Dict[Tuple[str, int], int] = {}
+    for i, x in enumerate("abc"):
+        ends = sorted(TANGLE_ENDS[x])
+        s1, s2 = TANGLE_STRANDS[x]
+        under = s1 if HEIGHT_RANK[heights[s1]] < HEIGHT_RANK[heights[s2]] else s2
+        shift = 0 if ends[0][1] == under else 1
+        for k, (angle, _, _) in enumerate(ends):
+            dart[(x, angle)] = 4 * i + (k - shift) % 4
+    partner = [-1] * 12
+    boundary = [0] * 6
+    for x, ends in TANGLE_ENDS.items():
+        for angle, _, conn in ends:
+            if conn[0] == "bd":
+                boundary[conn[1]] = dart[(x, angle)]
+            else:
+                partner[dart[(x, angle)]] = dart[conn]
+    return tuple(partner), tuple(boundary)
 
 
 def convert_to_double(diagram: TripleDiagram) -> DoubleDiagram:
     """Deconstruct every triple crossing into three double crossings.
 
-    The result has ``3n`` crossings and represents the same knot.
+    Triple crossing ``t`` becomes crossings ``3 t .. 3 t + 2``, its darts
+    those of :func:`local_tangle` offset by ``12 t``; boundary ends are
+    joined through ``diagram.alpha``.  The result represents the same knot.
     """
     n = diagram.n
     if n == 0:
         return DoubleDiagram.unknot()
-    sub_index = {"a": 0, "b": 1, "c": 2}
-    # dart id of each tangle end: (triple crossing, sub-crossing, connection)
-    end_dart: Dict[Tuple[int, str, Tuple], int] = {}
-    for t in range(n):
-        w = diagram.heights[t]
-        for x in "abc":
-            c = 3 * t + sub_index[x]
-            for s, (_, conn) in enumerate(tangle_slots(x, w)):
-                end_dart[(t, x, conn)] = 4 * c + s
+    outer = diagram.alpha
+    tables = [local_tangle(w) for w in diagram.heights]
     alpha = [0] * (12 * n)
-
-    def link(d: int, e: int) -> None:
-        alpha[d] = e
-        alpha[e] = d
-
-    for t in range(n):
-        w = diagram.heights[t]
-        for x in "abc":
-            for s, (_, conn) in enumerate(tangle_slots(x, w)):
-                d = end_dart[(t, x, conn)]
-                if conn[0] == "bd":
-                    other = diagram.alpha[6 * t + conn[1]]
-                    e = _boundary_dart(end_dart, other // 6, other % 6)
-                    link(d, e)
-                else:
-                    e = end_dart[(t, conn[0], _reverse_conn(x, conn))]
-                    link(d, e)
+    for t, (partner, boundary) in enumerate(tables):
+        base = 12 * t
+        for d, e in enumerate(partner):
+            if e >= 0:
+                alpha[base + d] = base + e
+        for slot, d in enumerate(boundary):
+            u, v = divmod(outer[6 * t + slot], 6)
+            alpha[base + d] = 12 * u + tables[u][1][v]
     dd = DoubleDiagram(alpha, 3 * n)
     dd.validate()
     return dd
-
-
-def _reverse_conn(crossing: str, conn: Tuple) -> Tuple:
-    """Connection key of the far end of an internal tangle edge."""
-    target, angle = conn
-    for a, _, c in TANGLE_ENDS[target]:
-        if a == angle:
-            # that end connects back to `crossing`
-            assert c[0] == crossing
-            return c
-    raise AssertionError("inconsistent tangle tables")
-
-
-def _boundary_dart(end_dart: Dict, t: int, slot: int) -> int:
-    return end_dart[(t, _boundary_owner(slot), ("bd", slot))]
-
-
-def _boundary_owner(slot: int) -> str:
-    for x, ends in TANGLE_ENDS.items():
-        for _, _, conn in ends:
-            if conn == ("bd", slot):
-                return x
-    raise AssertionError("no tangle end for boundary slot")

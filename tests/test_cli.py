@@ -29,6 +29,16 @@ def test_invariants_command(tmp_path):
     assert rec["homfly"]
 
 
+def test_invariants_command_on_the_unknot(tmp_path):
+    spd = tmp_path / "o.spd"
+    spd.write_text("sPD[O]")
+    out = tmp_path / "out.json"
+    assert main(["invariants", str(spd), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text()) == {
+        "jones": "1*t^0", "alexander": "1*t^0", "breadth": 0, "monic": True,
+        "homfly": "1*a^0*z^0"}
+
+
 def test_invariants_rejects_bare_projection(tmp_path):
     spd = tmp_path / "p.spd"
     spd.write_text("sPD[X[5,4,3,2,1,5],X[6,2,3,4,1,6]]")

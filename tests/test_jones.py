@@ -135,6 +135,19 @@ def test_derive_triple_relation_multiset_and_mirror():
         str(c.invert_t()) for c in rel.coefficient_multiset("x")) == minus
 
 
+def test_derive_triple_relation_exponents_per_matching():
+    # the multiset cannot see two matchings swapped; pin each word's
+    # exponents in the order of NONCROSSING
+    assert derive_triple_relation().exponents == {
+        "TMB": [2, 1, 1, 2, 3],
+        "TBM": [-2, -3, -1, -2, -1],
+        "MTB": [-2, -1, -3, -2, -1],
+        "MBT": [2, 1, 3, 2, 1],
+        "BTM": [2, 3, 1, 2, 1],
+        "BMT": [-2, -1, -1, -2, -3],
+    }
+
+
 def test_batch_matches_single():
     d = parse_spd(T2_1)
     p = d.projection

@@ -1,7 +1,16 @@
 import itertools
+import random
 
-from tricross import TripleDiagram, convert_to_double, parse_spd
-from tricross.tangle import local_crossing_sign, local_writhe
+from tricross import (
+    DoubleDiagram,
+    TripleDiagram,
+    convert_to_double,
+    enumerate_projections,
+    parse_spd,
+)
+from tricross.enumeration import HEIGHT_WORDS
+from tricross.maps import HEIGHT_RANK
+from tricross.tangle import local_crossing_sign, local_tangle, local_writhe
 from conftest import T2_1, T2_2
 
 
@@ -35,3 +44,92 @@ def test_conversion_respects_mirror():
     mirror = TripleDiagram(d.projection, [w[::-1] for w in d.heights])
     dd, mm = convert_to_double(d), convert_to_double(mirror)
     assert dd.writhe(dd.orientations()[0]) == -mm.writhe(mm.orientations()[0])
+
+
+# A frozen copy of the tangle geometry and of the connection-format
+# conversion that read it before the 12-dart table, kept as a reference.
+_ENDS = {
+    "a": [(0, 0, ("bd", 0)), (120, 2, ("c", 300)), (180, 0, ("b", 0)), (300, 2, ("bd", 5))],
+    "b": [(0, 0, ("a", 180)), (60, 1, ("c", 240)), (180, 0, ("bd", 3)), (240, 1, ("bd", 4))],
+    "c": [(60, 1, ("bd", 1)), (120, 2, ("bd", 2)), (240, 1, ("b", 60)), (300, 2, ("a", 120))],
+}
+_STRANDS = {"a": (0, 2), "b": (0, 1), "c": (1, 2)}
+
+
+def _tangle_slots(crossing, heights):
+    ends = sorted(_ENDS[crossing])
+    s1, s2 = _STRANDS[crossing]
+    under = s1 if HEIGHT_RANK[heights[s1]] < HEIGHT_RANK[heights[s2]] else s2
+    if ends[0][1] != under:
+        ends = ends[1:] + ends[:1]
+    return [(strand, conn) for _, strand, conn in ends]
+
+
+def _reverse_conn(crossing, conn):
+    target, angle = conn
+    for a, _, c in _ENDS[target]:
+        if a == angle:
+            assert c[0] == crossing
+            return c
+    raise AssertionError("inconsistent tangle tables")
+
+
+def _boundary_owner(slot):
+    for x, ends in _ENDS.items():
+        for _, _, conn in ends:
+            if conn == ("bd", slot):
+                return x
+    raise AssertionError("no tangle end for boundary slot")
+
+
+def _reference_convert_to_double(diagram):
+    n = diagram.n
+    if n == 0:
+        return DoubleDiagram.unknot()
+    sub_index = {"a": 0, "b": 1, "c": 2}
+    end_dart = {}
+    for t in range(n):
+        w = diagram.heights[t]
+        for x in "abc":
+            c = 3 * t + sub_index[x]
+            for s, (_, conn) in enumerate(_tangle_slots(x, w)):
+                end_dart[(t, x, conn)] = 4 * c + s
+    alpha = [0] * (12 * n)
+    for t in range(n):
+        w = diagram.heights[t]
+        for x in "abc":
+            for _, conn in _tangle_slots(x, w):
+                d = end_dart[(t, x, conn)]
+                if conn[0] == "bd":
+                    other = diagram.alpha[6 * t + conn[1]]
+                    e = end_dart[(other // 6, _boundary_owner(other % 6), ("bd", other % 6))]
+                else:
+                    e = end_dart[(t, conn[0], _reverse_conn(x, conn))]
+                alpha[d], alpha[e] = e, d
+    dd = DoubleDiagram(alpha, 3 * n)
+    dd.validate()
+    return dd
+
+
+def test_local_tangle_is_one_table_per_word():
+    # 12 darts: an involution on the 6 internal ones, the other 6 at the
+    # boundary slots; built once per height word
+    for word in HEIGHT_WORDS:
+        partner, boundary = local_tangle(word)
+        assert local_tangle(word) is local_tangle(word)
+        assert sorted(boundary) == [d for d in range(12) if partner[d] < 0]
+        assert all(partner[partner[d]] == d != partner[d] for d in range(12) if partner[d] >= 0)
+
+
+def test_conversion_equals_the_reference():
+    # every height word of the n <= 3 projections, then 12 seeded words per
+    # n = 4 projection
+    rng = random.Random(12)
+    diagrams = [TripleDiagram(p, words) for n in (1, 2, 3) for p in enumerate_projections(n)
+                for words in itertools.product(HEIGHT_WORDS, repeat=n)]
+    for p in enumerate_projections(4):
+        diagrams += [TripleDiagram(p, [rng.choice(HEIGHT_WORDS) for _ in range(4)])
+                     for _ in range(12)]
+    assert len(diagrams) == 474 + 12 * 15
+    for d in diagrams:
+        assert convert_to_double(d).alpha == _reference_convert_to_double(d).alpha
