@@ -52,7 +52,9 @@ def _int_det(mat: List[List[int]]) -> int:
 
 
 def _balanced_digits(value: int, base: int) -> Dict[int, int]:
-    """Nonzero digits of ``value`` in balanced base ``base`` (odd), by place."""
+    """Nonzero digits of ``value`` in balanced base ``base``, by place: each
+    digit is read in ``(base // 2 - base, base // 2]``, so any base is exact
+    for digits of magnitude below ``base / 2``."""
     half = base // 2
     digits: Dict[int, int] = {}
     place = 0

@@ -415,15 +415,23 @@ def _project_classes(p: TripleProjection, n: int) -> Iterator[tuple]:
     """(folded Jones, Alexander), unfolded code, mirror-folded code and
     deconstruction of every distinct diagram on one projection, one at a
     time.  A diagram's mirror views are its T <-> B swap's own views, so
-    its folded code is the smaller of the two unfolded codes."""
+    its folded code is the smaller of the two unfolded codes.
+
+    The normalised Alexander polynomial is mirror-invariant, so a mirror
+    class is deconstructed and its Alexander computed once, at its first
+    member; the deconstruction is None for the member after it."""
     codes = _diagram_codes(p)
     first = _first_words(codes)
     words_list = list(first.values())
+    alex: Dict[Tuple, str] = {}
     for words, v in zip(words_list, jones_triple_batch(p, words_list)):
         code = codes[words]
         mirror_class = min(code, codes[tuple(w.translate(_RANK_REVERSE) for w in words)])
-        dd = convert_to_double(TripleDiagram(p, words))
-        yield (fold_jones(v), str(alexander(dd))), code, mirror_class, dd
+        dd = None
+        if mirror_class not in alex:
+            dd = convert_to_double(TripleDiagram(p, words))
+            alex[mirror_class] = str(alexander(dd))
+        yield (fold_jones(v), alex[mirror_class]), code, mirror_class, dd
 
 
 def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
@@ -441,11 +449,13 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
     that pair's classes unrefined, so a second knot hiding behind an older
     pair is not detected; at n = 4 a sweep of F over all 4,967 finds none
     (``test_census_n4_kauffman_sweep_of_every_diagram``).
-    A diagram and its mirror image have the same folded F (F's mirror is
-    a -> 1/a), so F is evaluated once per class of
-    ``canonical_diagram_code(d, fold_mirror=True)``, on the deconstruction
-    that Alexander used, and reused for the rest: 257 evaluations for the
-    497 diagrams at n = 4, counted in ``kauffman_evals_per_n``.
+    A diagram and its mirror image have the same (Jones, Alexander) pair
+    and the same folded F (F's mirror is a -> 1/a), so the deconstruction,
+    Alexander and F each run once per class of
+    ``canonical_diagram_code(d, fold_mirror=True)``, on the class's first
+    diagram, and are reused for the rest: 177 deconstructions for the 351
+    distinct diagrams at n <= 3, and 257 F evaluations for the 497
+    diagrams at n = 4, counted in ``kauffman_evals_per_n``.
 
     Classes whose invariants factor as a product over smaller classes are
     flagged ``composite`` but stay in the census — flagged, never dropped.

@@ -4,7 +4,13 @@ Two independent routes compute V(K):
 
 * :func:`jones_triple` resolves every triple crossing directly into the five
   non-crossing matchings of its six ends, with per-matching coefficients
-  produced symbolically by :func:`derive_triple_relation`;
+  produced symbolically by :func:`derive_triple_relation`.  The sum over
+  the 5^n resolutions is a Kronecker contraction: the loop-count vector of
+  the projection, packed into ints whose digits are wide enough for every
+  coefficient (at most ``5^n 2^(3n - 1)``), is contracted one crossing at a
+  time with the exponent row of its height word, and
+  :func:`jones_triple_batch` shares the contractions of common word
+  prefixes;
 * :func:`bracket_jones` is the classical Kauffman bracket with writhe
   normalisation, evaluated on a deconstructed double diagram.  Its state
   sum, :func:`kauffman_bracket`, contracts the diagram one crossing at a
@@ -22,6 +28,7 @@ import itertools
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
+from .alexander import _balanced_digits
 from .laurent import HalfLaurent
 from .maps import DiagramError, DoubleDiagram, TripleDiagram, TripleProjection
 from .tangle import local_tangle, local_writhe
@@ -344,12 +351,13 @@ def derive_triple_relation() -> TripleRelation:
 
 
 # ---------------------------------------------------------------------------
-# the 5^n state sum on triple diagrams
+# the state sum on triple diagrams, as a Kronecker contraction
 # ---------------------------------------------------------------------------
 
 
-def _state_loop_counts(proj: TripleProjection) -> List[Tuple[Tuple[int, ...], int]]:
-    """Loop count of every full resolution of a projection.
+def _state_loop_counts(proj: TripleProjection) -> List[int]:
+    """Loop count of every full resolution of a projection, in the order of
+    ``itertools.product(range(5), repeat=n)`` over matching indices.
 
     Height-independent, so batch evaluation over many height words of the
     same projection shares this table.
@@ -373,12 +381,25 @@ def _state_loop_counts(proj: TripleProjection) -> List[Tuple[Tuple[int, ...], in
                 seen[e] = True
                 c = e // 6
                 d = 6 * c + partners[c][e - 6 * c]
-        out.append((state, loops))
+        out.append(loops)
     return out
 
 
+def _contract(vec: List[int], shifts: List[int]) -> List[int]:
+    """Contract the first axis of a ``5 x rest`` table of packed
+    polynomials: entry ``j`` of the result sums ``vec[m rest + j] << shifts[m]``
+    over the five matchings ``m``."""
+    r = len(vec) // 5
+    s0, s1, s2, s3, s4 = shifts
+    return [(a << s0) + (b << s1) + (c << s2) + (d << s3) + (e << s4)
+            for a, b, c, d, e in zip(vec[:r], vec[r:2 * r], vec[2 * r:3 * r],
+                                     vec[3 * r:4 * r], vec[4 * r:])]
+
+
 def jones_triple(diagram: TripleDiagram) -> HalfLaurent:
-    """V(K) from the triple-crossing state sum (5^n resolutions)."""
+    """V(K) from the triple-crossing state sum: the packed loop-count
+    vector contracted one crossing at a time with its exponent row, in
+    digits wide enough for ``5^n 2^(3n - 1)`` (see :func:`jones_triple_batch`)."""
     if diagram.n == 0:
         return HalfLaurent.one()
     return jones_triple_batch(diagram.projection, [diagram.heights])[0]
@@ -387,27 +408,52 @@ def jones_triple(diagram: TripleDiagram) -> HalfLaurent:
 def jones_triple_batch(
     proj: TripleProjection, height_words: Sequence[Tuple[str, ...]]
 ) -> List[HalfLaurent]:
-    """Jones polynomials of several diagrams over one shared projection."""
+    """Jones polynomials of several diagrams over one shared projection.
+
+    V(K) sums, over the 5^n resolutions ``s``, the term
+    ``(-1)^n LOOP_FACTOR^(L(s) - 1) t^(e/2)``, where ``L(s)`` counts the
+    loops of ``s`` and ``e`` adds up the exponents
+    ``TripleRelation.exponents[word][s_i]`` of the crossings.  Only the
+    exponents depend on the height words, so the sum is the n-fold
+    Kronecker product of the words' exponent rows applied to the state
+    vector (Yates 1937), done one crossing axis at a time.
+
+    Each polynomial is packed into one int by Kronecker substitution, with
+    the coefficient of ``t^(k/2)`` as a base-``2^bits`` digit: at place
+    ``k + 3n - 1`` in the state vector, and 3 places further on per
+    contracted crossing, so that multiplying by ``t^(e/2)`` is a left shift
+    by ``bits * (e + 3)``.  A loop count is at most 3n (each loop takes at
+    least one of the 3n edges), so the coefficients of
+    ``LOOP_FACTOR^(L - 1)`` have magnitude at most ``2^(3n - 1)``, and
+    every coefficient of a partial or full contraction, a sum over at most
+    5^n states, at most ``5^n 2^(3n - 1)``.  ``bits`` puts that bound below
+    half the base, so the balanced digits of the result are exactly its
+    coefficients.
+
+    Words that share a prefix share the contractions of that prefix: all
+    6^n words of a projection take at most ``5 n 6^n`` shift-adds.
+    """
+    n = proj.n
     exponents = derive_triple_relation().exponents
-    sign = -1 if proj.n % 2 else 1
-    # the signed terms of LOOP_FACTOR ** (loops - 1), once per loop count
-    terms: Dict[int, List[Tuple[int, int]]] = {}
-    states = []
-    for state, loops in _state_loop_counts(proj):
-        if loops not in terms:
-            terms[loops] = [(e2, sign * v)
-                            for e2, v in (LOOP_FACTOR ** (loops - 1)).coeffs.items()]
-        states.append((state, terms[loops]))
+    bits = (5 ** n << (3 * n - 1)).bit_length() + 1
+    shifts = {w: [bits * (e + 3) for e in row] for w, row in exponents.items()}
+    sign = -1 if n % 2 else 1
+    packed: Dict[int, int] = {}
+    vec = []
+    for loops in _state_loop_counts(proj):
+        if loops not in packed:
+            packed[loops] = sum(sign * v << bits * (e2 + 3 * n - 1)
+                                for e2, v in (LOOP_FACTOR ** (loops - 1)).coeffs.items())
+        vec.append(packed[loops])
+    # word prefix -> the table with that prefix's axes contracted
+    partial: Dict[Tuple[str, ...], List[int]] = {(): vec}
     results = []
     for words in height_words:
-        tables = [exponents[w] for w in words]
-        acc: Dict[int, int] = {}
-        for state, loop_terms in states:
-            e2 = 0
-            for table, mi in zip(tables, state):
-                e2 += table[mi]
-            for le2, lv in loop_terms:
-                k = e2 + le2
-                acc[k] = acc.get(k, 0) + lv
-        results.append(HalfLaurent({k: v for k, v in acc.items() if v}))
+        words = tuple(words)
+        for k in range(1, n + 1):
+            if words[:k] not in partial:
+                partial[words[:k]] = _contract(partial[words[:k - 1]], shifts[words[k - 1]])
+        (value,) = partial[words]
+        digits = _balanced_digits(value, 1 << bits)
+        results.append(HalfLaurent({place - 6 * n + 1: v for place, v in digits.items()}))
     return results

@@ -1,3 +1,5 @@
+import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -9,6 +11,8 @@ from tricross import (
     DiagramError,
     DoubleDiagram,
     KnotClass,
+    TripleDiagram,
+    alexander,
     classify,
     convert_to_double,
     count_table,
@@ -18,12 +22,13 @@ from tricross import (
     fold_jones,
     fold_kauffman,
     identify,
+    jones_triple,
     kauffman_f,
     rational_knot_pd,
 )
 from tricross import enumeration
 from tricross.canon import canonical_diagram_code, canonical_projection_code
-from tricross.enumeration import _mark_composites
+from tricross.enumeration import HEIGHT_WORDS, _mark_composites
 from tricross.laurent import HalfLaurent, IntLaurent, Laurent2
 from conftest import W_31_41, W_41_41, W_SQUARE
 
@@ -125,7 +130,7 @@ def test_enumerate_diagrams_counts_distinct_diagrams():
 
 def test_classify_canonicalises_each_word_once(monkeypatch):
     # 36 + 2 * 216 height words on the n <= 3 projections, 21 + 330 of them
-    # distinct diagrams
+    # distinct diagrams in 177 mirror classes
     calls = Counter()
 
     def counted(name, fn, size=lambda *args: 1):
@@ -136,11 +141,73 @@ def test_classify_canonicalises_each_word_once(monkeypatch):
 
     counted("canonical_diagram_code", canonical_diagram_code)
     counted("convert_to_double", convert_to_double)
+    counted("alexander", alexander)
     counted("jones_triple_batch", enumeration.jones_triple_batch,
             lambda p, words: len(words))
     classify(3)
-    assert calls == {"canonical_diagram_code": 468, "convert_to_double": 351,
-                     "jones_triple_batch": 351}
+    assert calls == {"canonical_diagram_code": 468, "convert_to_double": 177,
+                     "alexander": 177, "jones_triple_batch": 351}
+
+
+def _distinct_words(p):
+    """The first height words of each distinct diagram on ``p``, in the
+    order of ``itertools.product``, with its unfolded code."""
+    first = {}
+    for words in itertools.product(HEIGHT_WORDS, repeat=p.n):
+        code = canonical_diagram_code(TripleDiagram(p, words), fold_mirror=False)
+        first.setdefault(code, words)
+    return [(words, code) for code, words in first.items()]
+
+
+def _alexander_string(d):
+    return str(alexander(convert_to_double(d)))
+
+
+@pytest.fixture(scope="module")
+def projections_n4():
+    return enumerate_projections(4)
+
+
+def test_alexander_is_mirror_invariant(projections_n4):
+    # every distinct diagram at n <= 3, then 12 seeded words per n = 4
+    # projection, against its T <-> B swap
+    swap = str.maketrans("TB", "BT")
+    rng = random.Random(19)
+    diagrams = [d for n in (1, 2, 3) for p in enumerate_projections(n)
+                for d in enumerate_diagrams(p)]
+    diagrams += [TripleDiagram(p, [rng.choice(HEIGHT_WORDS) for _ in range(4)])
+                 for p in projections_n4 for _ in range(12)]
+    assert len(diagrams) == 2 + 21 + 330 + 12 * len(projections_n4)
+    for d in diagrams:
+        mirror = TripleDiagram(d.projection, [w.translate(swap) for w in d.heights])
+        assert _alexander_string(d) == _alexander_string(mirror)
+
+
+def test_project_classes_deconstructs_once_per_mirror_class(projections_n4):
+    """``_project_classes`` against a per-diagram reference: the same
+    (pair, code, mirror-folded code) sequence, each pair computed on its
+    own diagram, with a deconstruction exactly at the first member of each
+    mirror class.  Every distinct diagram at n <= 3; at n = 4, two seeded
+    projections, whose pairs are checked on 40 seeded diagrams each."""
+    rng = random.Random(23)
+    cases = [(p, None) for n in (2, 3) for p in enumerate_projections(n)]
+    cases += [(p, 40) for p in rng.sample(projections_n4, 2)]
+    for p, sample in cases:
+        reference = _distinct_words(p)
+        got = list(enumeration._project_classes(p, p.n))
+        assert [code for _, code, _, _ in got] == [code for _, code in reference]
+        checked = range(len(got)) if sample is None else rng.sample(range(len(got)), sample)
+        for i in checked:
+            d = TripleDiagram(p, reference[i][0])
+            assert got[i][0] == (fold_jones(jones_triple(d)), _alexander_string(d))
+        seen = set()
+        for (words, _), (_, _, mirror_class, dd) in zip(reference, got):
+            d = TripleDiagram(p, words)
+            assert mirror_class == canonical_diagram_code(d, fold_mirror=True)
+            assert (dd is None) == (mirror_class in seen)
+            if dd is not None:
+                assert dd.alpha == convert_to_double(d).alpha
+            seen.add(mirror_class)
 
 
 def test_fold_jones_symmetric():

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from tricross import (
     DoubleDiagram,
     HalfLaurent,
@@ -15,6 +17,7 @@ from tricross import (
     parse_spd,
 )
 from tricross.enumeration import HEIGHT_WORDS
+from tricross.jones import LOOP_FACTOR, NONCROSSING
 from tricross.tables import (
     BRAID_KNOTS,
     RATIONAL_KNOTS,
@@ -22,6 +25,7 @@ from tricross.tables import (
     rational_knot_pd,
 )
 from conftest import PD_FIG8, PD_KINK, PD_TREFOIL, T2_1, T2_2
+from test_canon import relabel
 
 V_TREFOIL = {2: 1, 6: 1, 8: -1}          # t + t^3 - t^4  (exp2 keys)
 V_FIG8 = {-4: 1, -2: -1, 0: 1, 2: -1, 4: 1}
@@ -165,3 +169,83 @@ def test_triple_vs_bracket_on_random_n3_diagrams():
             words = [rng.choice(words_all) for _ in range(3)]
             d = TripleDiagram(p, words)
             assert jones_triple(d) == bracket_jones(convert_to_double(d))
+
+
+def _reference_jones_triple_batch(proj, height_words):
+    """The triple-crossing state sum term by term: for each word and each
+    of the 5^n resolutions, (-1)^n LOOP_FACTOR^(loops - 1) times t to the
+    sum of the crossings' relation exponents."""
+    n = proj.n
+    exponents = derive_triple_relation().exponents
+    partners = []
+    for m in NONCROSSING:
+        out = [0] * 6
+        for s, t in (tuple(pair) for pair in m):
+            out[s], out[t] = t, s
+        partners.append(out)
+    states = []
+    for state in itertools.product(range(5), repeat=n):
+        seen = [False] * (6 * n)
+        loops = 0
+        for start in range(6 * n):
+            if seen[start]:
+                continue
+            loops += 1
+            d = start
+            while not seen[d]:
+                seen[d] = True
+                e = proj.alpha[d]
+                seen[e] = True
+                c = e // 6
+                d = 6 * c + partners[state[c]][e - 6 * c]
+        states.append((state, (LOOP_FACTOR ** (loops - 1)).coeffs.items()))
+    sign = -1 if n % 2 else 1
+    results = []
+    for words in height_words:
+        acc = {}
+        for state, loop_terms in states:
+            e2 = sum(exponents[w][mi] for w, mi in zip(words, state))
+            for le2, lv in loop_terms:
+                acc[e2 + le2] = acc.get(e2 + le2, 0) + sign * lv
+        results.append(HalfLaurent({k: v for k, v in acc.items() if v}))
+    return results
+
+
+@pytest.fixture(scope="module")
+def projections():
+    return {n: enumerate_projections(n) for n in (1, 2, 3, 4)}
+
+
+def test_contraction_equals_the_state_sum(projections):
+    # every height word of the n <= 3 projections, then 12 seeded words per
+    # n = 4 projection in one batch
+    checked = 0
+    for n in (1, 2, 3):
+        for p in projections[n]:
+            words_list = list(itertools.product(HEIGHT_WORDS, repeat=n))
+            assert jones_triple_batch(p, words_list) == \
+                _reference_jones_triple_batch(p, words_list)
+            checked += len(words_list)
+    rng = random.Random(13)
+    for p in projections[4]:
+        words_list = [tuple(rng.choice(HEIGHT_WORDS) for _ in range(4)) for _ in range(12)]
+        assert jones_triple_batch(p, words_list) == \
+            _reference_jones_triple_batch(p, words_list)
+        checked += len(words_list)
+    assert checked == 6 + 36 + 2 * 216 + 12 * len(projections[4])
+
+
+def test_single_diagram_contraction_equals_the_state_sum(projections):
+    # seeded n = 3 and n = 4 diagrams relabelled, half of them reflected
+    # with T <-> B swapped (the same knot seen from the other side)
+    swap = str.maketrans("TB", "BT")
+    rng = random.Random(17)
+    for n in (3, 4):
+        for p in projections[n]:
+            for _ in range(3):
+                d = TripleDiagram(p, [rng.choice(HEIGHT_WORDS) for _ in range(n)])
+                reflect = rng.random() < 0.5
+                e = relabel(p, rng.sample(range(n), n), [rng.randrange(6) for _ in range(n)],
+                            reflect, [w.translate(swap) if reflect else w for w in d.heights])
+                (want,) = _reference_jones_triple_batch(e.projection, [e.heights])
+                assert jones_triple(e) == want == jones_triple(d)
