@@ -26,47 +26,38 @@ from .maps import TripleDiagram, TripleProjection
 _RANK_REVERSE = str.maketrans("TB", "BT")
 
 
-def _start_trace(n: int, root: int) -> Tuple[List[int], List[int], List[int], List[int]]:
-    """Empty trace from ``root``: code, order (new id -> old crossing), base
-    slots (new id -> old slot) and new ids (old crossing -> new id or -1)."""
-    new_id = [-1] * n
-    new_id[root // 6] = 0
-    return [], [root // 6], [root % 6], new_id
+def _read_trace(
+    alpha: List[int], ref: List[int], stop: int, sense: int, pos: int,
+    order: Tuple[int, ...], base: Tuple[int, ...],
+) -> Tuple[int, int, Tuple[int, ...], Tuple[int, ...], int]:
+    """Read a relabeling trace on from position ``pos`` while it ties ``ref``.
 
-
-def _extend_trace(
-    alpha: List[int], direction: int, code: List[int], order: List[int],
-    base: List[int], new_id: List[int], stop: int,
-) -> int:
-    """Read the trace on, in place, from position ``len(code)`` to ``stop``.
-
-    Position ``6 * i + k`` reads new slot ``k`` of new crossing ``i``; a
-    crossing gets the next new id when first reached, and the slot it is
-    reached at becomes its base.  ``alpha`` may be a partial pairing, with
-    ``-1`` at unpaired darts: the trace then halts before reading one.
-    Returns the dart the next position would read, or -1 past the last
-    crossing reached.
+    Position ``6 * i + k`` reads new slot ``k`` of new crossing ``i``, the
+    dart ``6 * order[i] + (base[i] + sense * k) % 6``; a crossing gets the
+    next new id when first reached, and the slot it is reached at becomes
+    its base.  ``alpha`` may be a partial pairing, with ``-1`` at unpaired
+    darts.  Returns ``(value, pos, order, base, dart)``: at the first
+    position that differs from ``ref``, its value (``>= 0``); otherwise
+    ``-1``, with ``pos`` at ``stop``, at an unpaired dart or past the last
+    crossing reached, and ``dart`` the dart ``pos`` reads (``-1`` past the
+    last crossing).
     """
-    cid, k = divmod(len(code), 6)
-    last, end = divmod(stop, 6)
-    while cid < len(order):
-        first, b = 6 * order[cid], base[cid]
-        for k in range(k, 6 if cid < last else end):
-            dart = first + (b + direction * k) % 6
-            partner = alpha[dart]
-            if partner < 0:
-                return dart
-            pc, ps = partner // 6, partner % 6
-            nid = new_id[pc]
-            if nid == -1:
-                nid = new_id[pc] = len(order)
-                order.append(pc)
-                base.append(ps)
-            code.append(6 * nid + (direction * (ps - base[nid])) % 6)
-        if cid == last:
-            return first + (b + direction * end) % 6
-        cid, k = cid + 1, 0
-    return -1
+    while pos // 6 < len(order):
+        i = pos // 6
+        dart = 6 * order[i] + (base[i] + sense * pos) % 6
+        partner = alpha[dart]
+        if pos == stop or partner < 0:
+            return -1, pos, order, base, dart
+        crossing = partner // 6
+        if crossing in order:
+            j = order.index(crossing)
+        else:
+            j, order, base = len(order), order + (crossing,), base + (partner % 6,)
+        value = 6 * j + sense * (partner - base[j]) % 6
+        if value != ref[pos]:
+            return value, pos, order, base, dart
+        pos += 1
+    return -1, pos, order, base, -1
 
 
 def _height_word(word: str, base: int, direction: int, reverse_ranks: bool) -> str:
@@ -76,27 +67,32 @@ def _height_word(word: str, base: int, direction: int, reverse_ranks: bool) -> s
 
 @functools.lru_cache(maxsize=2)
 def _frames(
-    alpha: Tuple[int, ...], n: int, directions: Tuple[int, ...]
+    alpha: Tuple[int, ...], n: int, senses: Tuple[int, ...]
 ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...]], ...]]:
     """Smallest relabeling trace over all roots and the given senses, and the
-    frame ``(sense, order, base)`` of every trace equal to it.
+    frame ``(sense, order, base)`` of every trace equal to it, in the order
+    read.  Each trace is read against the smallest one so far and dropped at
+    its first larger position.
 
     ``order`` is the new order of the old crossings and ``base`` their base
     slots: new slot ``k`` of new crossing ``i`` reads old slot
     ``base[i] + sense * k`` of crossing ``order[i]``.  The callers canonicalise
     the height words of one projection in a row, so a small cache suffices.
     """
-    best, frames = None, []
-    for direction in directions:
+    best, frames = [6 * n] * (6 * n), []  # above every trace
+    for sense in senses:
         for root in range(6 * n):
-            code, order, base, new_id = _start_trace(n, root)
-            _extend_trace(alpha, direction, code, order, base, new_id, 6 * n)
-            code = tuple(code)
-            if best is None or code < best:
-                best, frames = code, []
-            if code == best:
-                frames.append((direction, tuple(order), tuple(base)))
-    return best, tuple(frames)
+            value, pos, order, base, _ = _read_trace(
+                alpha, best, 6 * n, sense, 0, (root // 6,), (root % 6,))
+            if value < 0:
+                frames.append((sense, order, base))
+            elif value < best[pos]:
+                while value >= 0:  # a new smallest trace: write its rest
+                    best[pos] = value
+                    value, pos, order, base, _ = _read_trace(
+                        alpha, best, 6 * n, sense, pos + 1, order, base)
+                frames = [(sense, order, base)]
+    return tuple(best), tuple(frames)
 
 
 def canonical_projection_code(

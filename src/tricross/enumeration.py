@@ -5,7 +5,9 @@ The generator backtracks over edge pairings of ``n`` six-valent vertices:
 * crossings are activated in discovery order and each is first entered at its
   slot 0, which quotients away vertex relabelings and rotations;
 * a pairing that closes a face is accepted only while the closed-face count
-  can still reach the spherical total ``2n + 2``;
+  can still reach the spherical total ``2n + 2``; where every pairing left
+  must close two faces, the first unpaired dart has one possible partner,
+  the end of its open face walk, and only that pairing is tried;
 * a pairing that closes a strand component early is rejected, so every
   completed shadow is a knot projection (one closed curve);
 * a pairing after which the labeling can no longer be the canonical one is
@@ -34,8 +36,7 @@ from .alexander import alexander
 from .canon import (
     _RANK_REVERSE,
     _diagram_from_code,
-    _extend_trace,
-    _start_trace,
+    _read_trace,
     canonical_diagram_code,
     canonical_projection_code,
 )
@@ -98,6 +99,14 @@ def enumerate_raw_shadows(
 
     Each shadow is yielded in its canonical labeling: its ``alpha`` equals
     ``canonical_projection_code(shadow, fold_mirror)``.
+
+    A resume token is the decision path: the partner chosen for the first
+    unpaired dart at each committed pairing, then the pairing about to be
+    tried at the stop.  A token from a search that tries every pairing where
+    each pairing left must close two faces stays valid: its committed
+    pairings passed the face bound, so they are the forced ones, while its
+    pending pairing may be one this search skips, and replay then moves on
+    to the next pairing the frame tries.
     """
     if n < 1:
         return
@@ -120,61 +129,47 @@ def enumerate_raw_shadows(
 
     sigma = [(d - d % 6) + (d % 6 + 1) % 6 for d in range(N)]
 
-    def closes_face_count(d: int, e: int) -> int:
-        cnt = 0
-        first_cycle = None
-        for x in (d, e):
-            u = sigma[alpha[x]]
-            steps = 0
-            while alpha[u] != -1 and u != x:
-                u = sigma[alpha[u]]
-                steps += 1
-                if steps > N:
-                    raise RuntimeError("face walk did not terminate")
-            if u == x:
-                if first_cycle is None:
-                    # record the cycle's dart set to avoid double counting
-                    cyc = set()
-                    v = x
-                    while True:
-                        cyc.add(v)
-                        v = sigma[alpha[v]]
-                        if v == x:
-                            break
-                    first_cycle = cyc
-                    cnt += 1
-                elif x not in first_cycle:
-                    cnt += 1
-        return cnt
+    def face_end(d: int) -> int:
+        """The unpaired dart that ends the open face walk from sigma[d]."""
+        u = sigma[d]
+        while alpha[u] != -1:
+            u = sigma[alpha[u]]
+        return u
+
+    def faces_closed(d: int, e: int) -> int:
+        """Faces that pairing the unpaired darts d and e closes: one through
+        d when e's open face walk ends at d, one through e when d's ends at
+        e, and the one face they join when each walk ends where it began."""
+        end_d, end_e = face_end(d), face_end(e)
+        if (end_d, end_e) == (d, e):
+            return 1
+        return (end_e == d) + (end_d == e)
 
     # Orderly generation: a shadow built here equals its own trace from
     # dart 0 in sense +1, so it is canonical exactly when no other (root,
     # sense) trace is smaller.  Every trace that still ties alpha on the
-    # positions fixed so far is carried along and read on as darts get
-    # paired; one that falls below alpha rules out the whole subtree.
+    # positions fixed so far is carried along as a rival ``(sense, position,
+    # order, base, dart)`` and read on against alpha as darts get paired; it
+    # is dropped at its first larger position, and one that falls below
+    # alpha rules out the whole subtree.
     senses = (1, -1) if fold_mirror else (1,)
-    rivals = []
-    for root in range(N):
-        for direction in senses:
-            if (root, direction) != (0, 1):
-                rivals.append((*_start_trace(n, root), direction, root))
+    rivals = [(sense, 0, (root // 6,), (root % 6,), root)
+              for root in range(N) for sense in senses if (root, sense) != (0, 1)]
 
-    def still_tied(traces: list, stop: int) -> Optional[list]:
-        """The traces that tie alpha up to position ``stop``; None when one
-        is smaller.  A trace is ``(code, order, base, new_id, direction,
-        next dart)`` and is copied before it is read on."""
+    def still_tied(rivals: list, stop: int) -> Optional[list]:
+        """The rivals that tie alpha up to position ``stop``; None when one
+        is smaller."""
         tied = []
-        for t in traces:
-            if t[5] < 0 or alpha[t[5]] < 0:
-                tied.append(t)  # read out, or waits for its next dart
+        for rival in rivals:
+            sense, pos, order, base, dart = rival
+            if alpha[dart] < 0:
+                tied.append(rival)  # waits for its next dart
                 continue
-            code, order, base, new_id = t[0][:], t[1][:], t[2][:], t[3][:]
-            start = len(code)
-            wait = _extend_trace(alpha, t[4], code, order, base, new_id, stop)
-            read, fixed = code[start:], alpha[start:len(code)]
-            if read == fixed:
-                tied.append((code, order, base, new_id, t[4], wait))
-            elif read < fixed:
+            value, pos, order, base, dart = _read_trace(
+                alpha, alpha, stop, sense, pos, order, base)
+            if value < 0:
+                tied.append((sense, pos, order, base, dart))
+            elif value < alpha[pos]:
                 return None
         return tied
 
@@ -184,10 +179,15 @@ def enumerate_raw_shadows(
     replay = _resume_path(resume_token, n, fold_mirror)
 
     # iterative backtracking; each frame: [d, candidates, next index, undo,
-    # traces still tied]
+    # rivals still tied]
     stack: List[list] = []
 
     def candidates_for(d: int) -> List[int]:
+        if target - closed - 2 * (3 * n - pairs - 1) == 2:
+            # every pairing left must close two faces: d's only partner is
+            # the end of its open face walk, and only if that walk ends at d
+            a = face_end(d)
+            return [a] if a != d and face_end(a) == d else []
         cands = [
             e
             for e in range(d + 1, N)
@@ -219,7 +219,7 @@ def enumerate_raw_shadows(
     stack.append([0, candidates_for(0), 0, None, rivals])
     while stack:
         frame = stack[-1]
-        d, cands, idx, _, traces = frame
+        d, cands, idx, _, rivals = frame
         advanced = False
         while idx < len(cands):
             e = cands[idx]
@@ -236,16 +236,14 @@ def enumerate_raw_shadows(
             ra, rb = find(d), find(e)
             if ra == rb and pairs + 1 < 3 * n:
                 continue  # would close a strand component early
-            alpha[d] = e
-            alpha[e] = d
-            delta = closes_face_count(d, e)
+            delta = faces_closed(d, e)
             rem = 3 * n - pairs - 1
             if closed + delta > target or closed + delta + 2 * rem < target:
-                alpha[d] = -1
-                alpha[e] = -1
                 continue
+            alpha[d] = e
+            alpha[e] = d
             nd = alpha.index(-1) if rem else N
-            tied = still_tied(traces, nd)  # None: no completion is canonical
+            tied = still_tied(rivals, nd)  # None: no completion is canonical
             if tied is None or not rem:
                 if tied is not None:
                     # the face bound above left exactly 2n + 2 faces
@@ -272,7 +270,9 @@ def enumerate_raw_shadows(
             break
         if advanced:
             continue
-        # frame exhausted: undo the pairing that created it and pop
+        # frame exhausted: undo the pairing that created it and pop; a
+        # resumed pending pairing that this frame does not try is passed
+        replay.clear()
         stack.pop()
         if stack:
             pframe = stack[-1]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 from tricross import (
     TripleDiagram,
@@ -16,9 +17,8 @@ from tricross.canon import (
     _MIRROR_KNOT,
     _SAME_KNOT,
     _diagram_from_code,
-    _extend_trace,
+    _frames,
     _height_word,
-    _start_trace,
 )
 from tricross.enumeration import HEIGHT_WORDS
 from tricross.maps import TripleProjection
@@ -67,18 +67,30 @@ def relabel(p, perm, rots, reflect, heights=None):
     return TripleDiagram(q, words)
 
 
-def _traces(p, senses):
-    """``(sense, code, order, base)`` of the trace from every root in every
-    sense."""
+def _reference_traces(p, senses):
+    """``(sense, code, order, base)`` of the full trace from every root in
+    every sense: crossings are numbered as first reached, each from the slot
+    it is reached at, and read slot by slot in the sense."""
     for sense in senses:
         for root in range(6 * p.n):
-            code, order, base, new_id = _start_trace(p.n, root)
-            _extend_trace(p.alpha, sense, code, order, base, new_id, 6 * p.n)
-            yield sense, tuple(code), order, base
+            code, order, base = [], [root // 6], [root % 6]
+            i = 0
+            while i < len(order):
+                for k in range(6):
+                    partner = p.alpha[6 * order[i] + (base[i] + sense * k) % 6]
+                    crossing, slot = divmod(partner, 6)
+                    if crossing not in order:
+                        order.append(crossing)
+                        base.append(slot)
+                    j = order.index(crossing)
+                    code.append(6 * j + (sense * (slot - base[j])) % 6)
+                i += 1
+            yield sense, tuple(code), tuple(order), tuple(base)
 
 
 def _reference_projection_code(p, fold_mirror):
-    return min(code for _, code, _, _ in _traces(p, (1, -1) if fold_mirror else (1,)))
+    senses = (1, -1) if fold_mirror else (1,)
+    return min(code for _, code, _, _ in _reference_traces(p, senses))
 
 
 def _reference_diagram_code(d, fold_mirror):
@@ -88,7 +100,7 @@ def _reference_diagram_code(d, fold_mirror):
         (code, tuple(_height_word(d.heights[c], b, sense, reverse_ranks)
                      for c, b in zip(order, base)))
         for view_sense, reverse_ranks in views
-        for sense, code, order, base in _traces(d.projection, (view_sense,))
+        for sense, code, order, base in _reference_traces(d.projection, (view_sense,))
     )
 
 
@@ -207,3 +219,31 @@ def test_codes_equal_the_all_views_minimum():
     for p in {d.projection for d in diagrams}:
         for fold in (False, True):
             assert canonical_projection_code(p, fold) == _reference_projection_code(p, fold)
+
+
+def _check_frames(alpha, n, senses):
+    traces = list(_reference_traces(TripleProjection(alpha, n), senses))
+    best = min(code for _, code, _, _ in traces)
+    frames = _frames(tuple(alpha), n, senses)
+    assert frames == (best, tuple((sense, order, base)
+                                  for sense, code, order, base in traces if code == best))
+    return len(frames[1])
+
+
+def test_frames_equal_the_reference_traces():
+    # every n <= 4 shadow up to relabelling (not reflection), in its own
+    # labelling and in two seeded relabellings, one of them reflected, with
+    # and without the reflected sense
+    rng = random.Random(14)
+    winners = Counter()
+    for n in (1, 2, 3, 4):
+        for p in enumerate_raw_shadows(n, fold_mirror=False):
+            for reflect in (None, False, True):
+                q = p if reflect is None else relabel(
+                    p, rng.sample(range(n), n), [rng.randrange(6) for _ in range(n)],
+                    reflect)
+                for senses in ((1,), (1, -1)):
+                    winners[n, senses, _check_frames(q.alpha, n, senses)] += 1
+    # symmetric shadows have several winning frames, 2 and 4 among them
+    for senses in ((1,), (1, -1)):
+        assert winners[4, senses, 2] and winners[4, senses, 4]

@@ -69,7 +69,8 @@ def test_enumerate_resume_keeps_partial_records(tmp_path):
     token = tmp_path / "resume.json"
     token.write_text("")
     legs = []
-    for leg, budget in enumerate((["--max-nodes", "150000"], ["--max-nodes", "150000"], [])):
+    # the n = 4 search tries about 158,000 pairings: two legs of 60,000 stop
+    for leg, budget in enumerate((["--max-nodes", "60000"], ["--max-nodes", "60000"], [])):
         out = tmp_path / f"leg{leg}.jsonl"
         code = main(["enumerate", "--n", "4", "--out", str(out),
                      "--resume", str(token)] + budget)

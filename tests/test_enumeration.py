@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -30,6 +31,7 @@ from tricross import enumeration
 from tricross.canon import canonical_diagram_code, canonical_projection_code
 from tricross.enumeration import HEIGHT_WORDS, _mark_composites
 from tricross.laurent import HalfLaurent, IntLaurent, Laurent2
+from tricross.maps import TripleProjection
 from conftest import W_31_41, W_41_41, W_SQUARE
 
 
@@ -38,9 +40,8 @@ def test_raw_shadow_counts_small():
     assert len(list(enumerate_raw_shadows(3))) == 16
 
 
-# shadows up to relabelling (and reflection, when folded): the distinct
-# canonical codes among the 24, 456 and 11,036 labelled shadows that a
-# search without the canonicity prune reaches
+# shadows up to relabelling (and reflection, when folded); at n <= 3 they
+# are the classes of the labelled shadows an unpruned search reaches (below)
 @pytest.mark.parametrize("fold_mirror, counts", [(True, (3, 16, 263)),
                                                  (False, (4, 26, 502))])
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -49,6 +50,75 @@ def test_search_yields_each_class_once_in_canonical_form(n, fold_mirror, counts)
     for p in shadows:
         assert tuple(p.alpha) == canonical_projection_code(p, fold_mirror)
     assert len({tuple(p.alpha) for p in shadows}) == len(shadows) == counts[n - 2]
+
+
+def _opposite(d):
+    return 6 * (d // 6) + (d % 6 + 3) % 6
+
+
+def _next_in_face(alpha, d):
+    return 6 * (alpha[d] // 6) + (alpha[d] % 6 + 1) % 6
+
+
+def _closed_faces(alpha):
+    """Faces of a possibly partial pairing whose darts are all paired."""
+    closed, seen = 0, set()
+    for start, partner in enumerate(alpha):
+        if partner < 0 or start in seen:
+            continue
+        d = start
+        while alpha[d] >= 0 and d not in seen:
+            seen.add(d)
+            d = _next_in_face(alpha, d)
+        closed += d == start
+    return closed
+
+
+def _partners(alpha, n, d, reached):
+    """The partners plain backtracking offers the first unpaired dart ``d``,
+    in order: each later unpaired dart of the ``reached`` crossings, then
+    slot 0 of the next crossing."""
+    partners = [e for e in range(d + 1, 6 * reached) if alpha[e] < 0]
+    return partners + ([6 * reached] if reached < n and d < 6 * reached else [])
+
+
+def _reference_labelled_shadows(n):
+    """Every labelled one-curve shadow with ``n`` triple points and 2n + 2
+    faces, by plain backtracking over the pairings ``_partners`` offers, so
+    crossings are reached in order, each first at slot 0.  Each completed
+    pairing is checked, none pruned."""
+    alpha, found = [-1] * (6 * n), []
+
+    def one_curve():
+        d, edges = alpha[_opposite(0)], 1
+        while d != 0:
+            d, edges = alpha[_opposite(d)], edges + 1
+        return edges == 3 * n
+
+    def extend(reached):
+        if -1 not in alpha:
+            if one_curve() and _closed_faces(alpha) == 2 * n + 2:
+                found.append(TripleProjection(list(alpha), n))
+            return
+        d = alpha.index(-1)
+        for e in _partners(alpha, n, d, reached):
+            alpha[d], alpha[e] = e, d
+            extend(max(reached, e // 6 + 1))
+            alpha[d] = alpha[e] = -1
+
+    extend(1)
+    return found
+
+
+@pytest.mark.parametrize("n, labelled", [(1, 2), (2, 24), (3, 456)])
+def test_search_reaches_every_class_of_an_unpruned_search(n, labelled):
+    # the canonicity prune, the face bound and the forced pairing lose no
+    # class: the search yields the canonical code of every labelled shadow
+    shadows = _reference_labelled_shadows(n)
+    assert len(shadows) == labelled
+    for fold in (True, False):
+        assert {canonical_projection_code(p, fold) for p in shadows} == {
+            tuple(p.alpha) for p in enumerate_raw_shadows(n, fold_mirror=fold)}
 
 
 def test_projection_counts_small():
@@ -77,9 +147,9 @@ def test_budget_and_resume_roundtrip():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(500, 6400))
+@given(st.integers(500, 3200))
 def test_node_budget_stops_resume_to_the_full_search(max_nodes):
-    # the n = 3 search tries about 6,400 pairings; stop every max_nodes of
+    # the n = 3 search tries about 3,300 pairings; stop every max_nodes of
     # them and resume from the token and the partial codes until done
     token, partial = None, []
     for _ in range(20):
@@ -93,6 +163,54 @@ def test_node_budget_stops_resume_to_the_full_search(max_nodes):
     else:
         pytest.fail(f"no progress at max_nodes = {max_nodes}")
     assert [p.alpha for p in done] == [p.alpha for p in enumerate_projections(3)]
+
+
+def _every_stop(n):
+    """``(resume path, shadows yielded before it)`` of every stop of the raw
+    n search, one pairing apart: each leg resumes from the last token and
+    counts its replayed path, so it stops at the next pairing."""
+    stops, token, yielded = [], None, 0
+    while True:
+        budget = Budget(max_nodes=len(stops[-1][0]) if stops else 0)
+        try:
+            for _ in enumerate_raw_shadows(n, budget=budget, resume_token=token):
+                yielded += 1
+        except BudgetExceeded as exc:
+            token = exc.resume_token
+            stops.append((json.loads(token)["path"], yielded))
+        else:
+            return stops
+
+
+def test_tokens_pending_on_pairings_the_forced_pairing_skips_resume():
+    # Where every pairing left must close two faces, the search tries only
+    # the one that can; a search trying every pairing there could stop at
+    # any of them.  At each stop on such a frame, a token pending on another
+    # pairing resumes to what the full search yields after the stop, when
+    # that pairing is below the forced one, or after the forced pairing's
+    # subtree, when it is above.
+    n, checked = 3, 0
+    stops = _every_stop(n)
+    full = [p.alpha for p in enumerate_raw_shadows(n)]
+    assert stops[-1][1] == len(full)
+    for i, (path, before) in enumerate(stops):
+        alpha = [-1] * (6 * n)
+        for e in path[:-1]:
+            d = alpha.index(-1)
+            alpha[d], alpha[e] = e, d
+        if 2 * n + 2 - _closed_faces(alpha) - 2 * (3 * n - len(path)) < 2:
+            continue
+        after = next((b for later, b in stops[i + 1:] if later[:len(path)] != path),
+                     len(full))
+        reached = 1 + max(e // 6 for e in [0] + path[:-1])
+        for e in _partners(alpha, n, alpha.index(-1), reached):
+            if e != path[-1]:
+                token = json.dumps({"n": n, "fold_mirror": True, "path": path[:-1] + [e]})
+                rest = full[before if e < path[-1] else after:]
+                resumed = enumerate_raw_shadows(n, resume_token=token)
+                assert [p.alpha for p in resumed] == rest
+                checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("wall_secs, stage", [(0.5, "search"), (1.5, "classify")])
