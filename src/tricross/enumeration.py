@@ -4,10 +4,12 @@ The generator backtracks over edge pairings of ``n`` six-valent vertices:
 
 * crossings are activated in discovery order and each is first entered at its
   slot 0, which quotients away vertex relabelings and rotations;
-* a pairing that closes a face is accepted only while the closed-face count
-  can still reach the spherical total ``2n + 2``; where every pairing left
-  must close two faces, the first unpaired dart has one possible partner,
-  the end of its open face walk, and only that pairing is tried;
+* a pairing is accepted only while the faces still to close can reach the
+  spherical total ``2n + 2``: with ``rem`` pairings left and ``c`` open face
+  walks, at most ``rem + min(c, 2 rem - c)`` more faces close (the Euler
+  formula for hypermaps, Walsh 1975); where every pairing left must close
+  two faces, the first unpaired dart has one possible partner, the end of
+  its open face walk, and only that pairing is tried;
 * a pairing that closes a strand component early is rejected, so every
   completed shadow is a knot projection (one closed curve);
 * a pairing after which the labeling can no longer be the canonical one is
@@ -100,13 +102,18 @@ def enumerate_raw_shadows(
     Each shadow is yielded in its canonical labeling: its ``alpha`` equals
     ``canonical_projection_code(shadow, fold_mirror)``.
 
+    A pairing is rejected when it closes a strand component early, when the
+    faces still to close exceed ``rem + min(c, 2 rem - c)`` for the ``rem``
+    pairings and ``c`` open face walks it leaves, or when no completion of
+    it can be canonical.
+
     A resume token is the decision path: the partner chosen for the first
     unpaired dart at each committed pairing, then the pairing about to be
-    tried at the stop.  A token from a search that tries every pairing where
-    each pairing left must close two faces stays valid: its committed
-    pairings passed the face bound, so they are the forced ones, while its
-    pending pairing may be one this search skips, and replay then moves on
-    to the next pairing the frame tries.
+    tried at the stop.  The search tries pairings in increasing order of
+    that path, and a resumed one yields exactly the shadows whose path is
+    at or after the token's.  A replayed pairing this search rejects or
+    skips ends the replay there, and the frame moves on to its next
+    pairing; so a token written by a search that pruned less stays valid.
     """
     if n < 1:
         return
@@ -129,21 +136,49 @@ def enumerate_raw_shadows(
 
     sigma = [(d - d % 6) + (d % 6 + 1) % 6 for d in range(N)]
 
-    def face_end(d: int) -> int:
-        """The unpaired dart that ends the open face walk from sigma[d]."""
-        u = sigma[d]
-        while alpha[u] != -1:
-            u = sigma[alpha[u]]
-        return u
+    # Open-face table.  A face walk of the partial pairing steps from u to
+    # sigma[alpha[u]] and halts at an unpaired dart.  end[u] is the unpaired
+    # dart where the walk from sigma[u] halts, for each unpaired u; start is
+    # its inverse, and open_faces counts the cycles of end, the faces still
+    # open.  Pairing d and e turns end into the first return of end o (d e)
+    # to the darts left unpaired.
+    end = sigma[:]
+    start = [(d - d % 6) + (d % 6 + 5) % 6 for d in range(N)]
+    open_faces = n
 
     def faces_closed(d: int, e: int) -> int:
         """Faces that pairing the unpaired darts d and e closes: one through
         d when e's open face walk ends at d, one through e when d's ends at
         e, and the one face they join when each walk ends where it began."""
-        end_d, end_e = face_end(d), face_end(e)
-        if (end_d, end_e) == (d, e):
+        if (end[d], end[e]) == (d, e):
             return 1
-        return (end_e == d) + (end_d == e)
+        return (end[e] == d) + (end[d] == e)
+
+    def faces_open_after(d: int, e: int, delta: int) -> int:
+        """Open faces after pairing d and e: end o (d e) splits the cycle of
+        end through both darts or joins the two through one each, and loses
+        the ``delta`` cycles that close."""
+        u = end[d]
+        while u != d and u != e:
+            u = end[u]
+        return open_faces + (1 if u == e else -1) - delta
+
+    def join(d: int, e: int) -> None:
+        """Pair d and e in the table: a walk that halted at one of them goes
+        on along the other's walk to the next unpaired dart."""
+        end_d, end_e = end[d], end[e]
+        for u, v in ((start[d], end_e), (start[e], end_d)):
+            if u != d and u != e:
+                while v == d or v == e:
+                    v = end_e if v == d else end_d
+                end[u] = v
+                start[v] = u
+
+    def unjoin(d: int, e: int) -> None:
+        """Undo ``join(d, e)``, which left the entries of d and e alone."""
+        for u in (d, e):
+            end[start[u]] = u
+            start[end[u]] = u
 
     # Orderly generation: a shadow built here equals its own trace from
     # dart 0 in sense +1, so it is canonical exactly when no other (root,
@@ -186,8 +221,8 @@ def enumerate_raw_shadows(
         if target - closed - 2 * (3 * n - pairs - 1) == 2:
             # every pairing left must close two faces: d's only partner is
             # the end of its open face walk, and only if that walk ends at d
-            a = face_end(d)
-            return [a] if a != d and face_end(a) == d else []
+            a = end[d]
+            return [a] if a != d and end[a] == d else []
         cands = [
             e
             for e in range(d + 1, N)
@@ -225,12 +260,12 @@ def enumerate_raw_shadows(
             e = cands[idx]
             idx += 1
             if replay:
+                # the recorded pairing is popped when it is committed; a
+                # later one in this frame means it was rejected or skipped
                 if e < replay[0]:
                     continue
-                if e == replay[0]:
-                    replay.pop(0)
-                else:
-                    replay.clear()  # the recorded branch is gone
+                if e > replay[0]:
+                    replay.clear()
             nodes += 1
             check_budget(e)
             ra, rb = find(d), find(e)
@@ -238,7 +273,18 @@ def enumerate_raw_shadows(
                 continue  # would close a strand component early
             delta = faces_closed(d, e)
             rem = 3 * n - pairs - 1
-            if closed + delta > target or closed + delta + 2 * rem < target:
+            to_close = target - closed - delta
+            if to_close < 0:
+                continue
+            # Euler bound.  The faces still to close are the cycles of
+            # end' o alpha', for the table end' after this pairing (c' cycles)
+            # and the pairing alpha' of its 2 rem darts still to come.  Each
+            # of the k orbits of <end', alpha'> is a hypermap of genus >= 0,
+            # so z(end') + z(alpha') + z(end' o alpha') <= 2 rem + 2k: at
+            # most rem + 2k - c' faces close, and k <= min(c', rem) since
+            # each orbit holds a cycle of end' and a pair of alpha'.
+            open_after = faces_open_after(d, e, delta)
+            if to_close > rem + min(open_after, 2 * rem - open_after):
                 continue
             alpha[d] = e
             alpha[e] = d
@@ -246,14 +292,15 @@ def enumerate_raw_shadows(
             tied = still_tied(rivals, nd)  # None: no completion is canonical
             if tied is None or not rem:
                 if tied is not None:
-                    # the face bound above left exactly 2n + 2 faces
+                    # the two face checks above left exactly 2n + 2 faces
                     yield TripleProjection(list(alpha), n)
                 alpha[d] = -1
                 alpha[e] = -1
                 continue
             # commit
             frame[2] = idx
-            undo = {"e": e, "fresh": not touched[e // 6], "delta": delta}
+            undo = {"e": e, "fresh": not touched[e // 6], "delta": delta,
+                    "open": open_faces}
             if ra != rb:
                 if rank[ra] < rank[rb]:
                     ra, rb = rb, ra
@@ -262,16 +309,20 @@ def enumerate_raw_shadows(
                 if rank[ra] == rank[rb]:
                     rank[ra] += 1
             touched[e // 6] = True
+            join(d, e)
+            open_faces = open_after
             closed += delta
             pairs += 1
             path.append(e)
+            if replay:
+                replay.pop(0)
             stack.append([nd, candidates_for(nd), 0, undo, tied])
             advanced = True
             break
         if advanced:
             continue
         # frame exhausted: undo the pairing that created it and pop; a
-        # resumed pending pairing that this frame does not try is passed
+        # replayed pairing that this frame skipped or rejected is passed
         replay.clear()
         stack.pop()
         if stack:
@@ -279,6 +330,8 @@ def enumerate_raw_shadows(
             pd = pframe[0]
             undo = frame[3]
             _undo_pair(alpha, touched, parent, rank, pd, undo)
+            unjoin(pd, undo["e"])
+            open_faces = undo["open"]
             closed -= undo["delta"]
             pairs -= 1
             path.pop()

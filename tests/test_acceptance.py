@@ -81,8 +81,8 @@ def test_criterion_02_knot_counts(run_n4):
         f"3_1#m3_1, 3_1#4_1, 4_1#4_1)")
 
 
-# The resume token of the n = 5 search stopped at Budget(max_nodes=3_893_796),
-# about half a minute in and thirteen pairings before the first prime shadow
+# The resume token of the n = 5 search stopped at Budget(max_nodes=1_121_919),
+# a few seconds in and thirteen pairings before the first prime shadow
 # (the 4,126th shadow; no earlier stop has a partial code to keep).  A change
 # to the search order moves that shadow: re-derive the token then.
 N5_TOKEN_BEFORE_FIRST_PRIME = (

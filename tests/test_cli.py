@@ -69,8 +69,8 @@ def test_enumerate_resume_keeps_partial_records(tmp_path):
     token = tmp_path / "resume.json"
     token.write_text("")
     legs = []
-    # the n = 4 search tries about 158,000 pairings: two legs of 60,000 stop
-    for leg, budget in enumerate((["--max-nodes", "60000"], ["--max-nodes", "60000"], [])):
+    # the n = 4 search tries about 70,000 pairings: two legs of 30,000 stop
+    for leg, budget in enumerate((["--max-nodes", "30000"], ["--max-nodes", "30000"], [])):
         out = tmp_path / f"leg{leg}.jsonl"
         code = main(["enumerate", "--n", "4", "--out", str(out),
                      "--resume", str(token)] + budget)
@@ -87,7 +87,7 @@ def test_enumerate_resume_keeps_partial_records(tmp_path):
 def test_enumerate_refuses_resume_file_for_other_n(tmp_path):
     token = tmp_path / "resume.json"
     token.write_text("")
-    assert main(["enumerate", "--n", "3", "--max-nodes", "3000",
+    assert main(["enumerate", "--n", "3", "--max-nodes", "1000",
                  "--out", str(tmp_path / "a.jsonl"), "--resume", str(token)]) == EXIT_PARTIAL
     assert json.loads(token.read_text())["n"] == 3
     assert main(["enumerate", "--n", "4", "--out", str(tmp_path / "b.jsonl"),

@@ -38,6 +38,11 @@ from conftest import W_31_41, W_41_41, W_SQUARE
 def test_raw_shadow_counts_small():
     assert len(list(enumerate_raw_shadows(2))) == 3
     assert len(list(enumerate_raw_shadows(3))) == 16
+    # the unpruned reference below stops at n = 3; these pin the face bound
+    # at n = 4
+    for fold_mirror, shadows, prime in ((True, 263, 65), (False, 502, 128)):
+        found = list(enumerate_raw_shadows(4, fold_mirror=fold_mirror))
+        assert (len(found), sum(p.is_prime() for p in found)) == (shadows, prime)
 
 
 # shadows up to relabelling (and reflection, when folded); at n <= 3 they
@@ -147,9 +152,9 @@ def test_budget_and_resume_roundtrip():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(500, 3200))
+@given(st.integers(500, 2400))
 def test_node_budget_stops_resume_to_the_full_search(max_nodes):
-    # the n = 3 search tries about 3,300 pairings; stop every max_nodes of
+    # the n = 3 search tries about 2,500 pairings; stop every max_nodes of
     # them and resume from the token and the partial codes until done
     token, partial = None, []
     for _ in range(20):
@@ -180,6 +185,49 @@ def _every_stop(n):
             stops.append((json.loads(token)["path"], yielded))
         else:
             return stops
+
+
+def _decision_path(alpha):
+    """The partner of the first unpaired dart at each pairing, in the order
+    the search pairs them: the resume path of a shadow."""
+    paired, path = set(), []
+    for d, e in enumerate(alpha):
+        if d not in paired:
+            path.append(e)
+            paired.update((d, e))
+    return path
+
+
+def _random_decision_path(n, rng):
+    """A prefix of a random walk down the pairings ``_partners`` offers,
+    none checked, so a replay meets pairings the search rejects."""
+    alpha, path, reached = [-1] * (6 * n), [], 1
+    for _ in range(rng.randint(1, 3 * n)):
+        d = alpha.index(-1)
+        partners = _partners(alpha, n, d, reached)
+        if not partners:
+            break
+        e = rng.choice(partners)
+        alpha[d], alpha[e] = e, d
+        reached = max(reached, e // 6 + 1)
+        path.append(e)
+    return path
+
+
+@pytest.mark.parametrize("fold_mirror", [True, False])
+@pytest.mark.parametrize("n", [2, 3])
+def test_resume_from_any_decision_path(n, fold_mirror):
+    # the search tries pairings in the order of their decision paths, so a
+    # token resumes to the shadows at or after its path, also when a
+    # replayed pairing is one the search rejects
+    full = [p.alpha for p in enumerate_raw_shadows(n, fold_mirror=fold_mirror)]
+    rng = random.Random(n)
+    for _ in range(300):
+        path = _random_decision_path(n, rng)
+        token = json.dumps({"n": n, "fold_mirror": fold_mirror, "path": path})
+        resumed = enumerate_raw_shadows(n, resume_token=token, fold_mirror=fold_mirror)
+        assert [p.alpha for p in resumed] == [
+            alpha for alpha in full if _decision_path(alpha) >= path], path
 
 
 def test_tokens_pending_on_pairings_the_forced_pairing_skips_resume():
