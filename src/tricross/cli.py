@@ -42,7 +42,6 @@ EXIT_PARTIAL = 3
 
 @dataclass
 class RunConfig:
-    command: str
     n: int = 4
     budget_secs: Optional[float] = None
     max_nodes: Optional[int] = None
@@ -115,11 +114,14 @@ def _read_resume(cfg: RunConfig) -> tuple[Optional[str], list]:
     if not text:
         return None, []
     rec = json.loads(text)
-    if not (isinstance(rec, dict) and {"token", "partial"} <= rec.keys()
+    partial = rec.get("partial") if isinstance(rec, dict) else None
+    if not (isinstance(partial, list) and "token" in rec
+            and all(isinstance(code, list) and all(type(e) is int for e in code)
+                    for code in partial)
             and (rec.get("n"), rec.get("fold_mirror")) == (cfg.n, cfg.fold_mirror)):
         raise DiagramError(f"{cfg.resume} is not a resume file for n = {cfg.n}, "
                            f"fold_mirror = {cfg.fold_mirror}")
-    return rec["token"], [tuple(code) for code in rec["partial"]]
+    return rec["token"], [tuple(code) for code in partial]
 
 
 def cmd_enumerate(cfg: RunConfig) -> int:
@@ -287,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     cfg = RunConfig(
-        command=args.command,
         n=getattr(args, "n", 4),
         budget_secs=getattr(args, "budget_secs", None),
         max_nodes=getattr(args, "max_nodes", None),
@@ -306,9 +307,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_classify(cfg)
         if args.command == "report":
             return cmd_report(cfg, args.run_file)
-        if args.command == "tikz":
-            return cmd_tikz(cfg, args.spd_file)
-        raise DiagramError(f"unknown command {args.command!r}")
+        return cmd_tikz(cfg, args.spd_file)  # the subparsers allow no other command
     except (DiagramError, OSError, json.JSONDecodeError) as exc:
         return _error(str(exc))
 

@@ -78,11 +78,17 @@ class BudgetExceeded(RuntimeError):
 def _resume_path(token: Optional[str], n: int, fold_mirror: bool) -> List[int]:
     if not token:
         return []
-    rec = json.loads(token)
+    try:
+        rec = json.loads(token)
+    except (TypeError, ValueError):
+        rec = None
+    path = rec.get("path") if isinstance(rec, dict) else None
+    if not (isinstance(path, list) and all(type(e) is int for e in path)):
+        raise DiagramError("the resume token holds no decision path")
     if (rec.get("n"), rec.get("fold_mirror")) != (n, fold_mirror):
         raise DiagramError(f"the resume token is not one of this search at n = {n}, "
                            f"fold_mirror = {fold_mirror}")
-    return list(rec["path"])
+    return path
 
 
 def _make_token(path: List[int], n: int, fold_mirror: bool) -> str:
@@ -118,33 +124,24 @@ def enumerate_raw_shadows(
     if n < 1:
         return
     N = 6 * n
-    target = 2 * n + 2
     alpha = [-1] * N
     touched = [False] * n
     touched[0] = True
-    # strand-segment union-find: opposite slots of a crossing are one segment
-    parent = list(range(N))
-    for c in range(n):
-        for s in range(3):
-            parent[6 * c + s + 3] = 6 * c + s
-    rank = [0] * N
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     sigma = [(d - d % 6) + (d % 6 + 1) % 6 for d in range(N)]
 
-    # Open-face table.  A face walk of the partial pairing steps from u to
-    # sigma[alpha[u]] and halts at an unpaired dart.  end[u] is the unpaired
-    # dart where the walk from sigma[u] halts, for each unpaired u; start is
-    # its inverse, and open_faces counts the cycles of end, the faces still
-    # open.  Pairing d and e turns end into the first return of end o (d e)
-    # to the darts left unpaired.
+    # Open-walk tables, kept for the unpaired darts.  A face walk of the
+    # partial pairing steps from u to sigma[alpha[u]] and halts at an
+    # unpaired dart: end[u] is where the walk from sigma[u] halts, start is
+    # its inverse, and the cycles of end are the faces still open.  A strand
+    # walk steps from u through its crossing to the opposite slot and on
+    # along alpha while that slot is paired: mate[u] is the unpaired dart
+    # where the walk from u halts, the other end of u's open strand.
+    # Pairing d and e turns end into the first return of end o (d e) to the
+    # darts left unpaired and joins the strands of d and e end to end; the
+    # entries of d and e are left as they were, which is what undoes it.
     end = sigma[:]
     start = [(d - d % 6) + (d % 6 + 5) % 6 for d in range(N)]
-    open_faces = n
+    mate = [(d - d % 6) + (d % 6 + 3) % 6 for d in range(N)]
 
     def faces_closed(d: int, e: int) -> int:
         """Faces that pairing the unpaired darts d and e closes: one through
@@ -154,7 +151,7 @@ def enumerate_raw_shadows(
             return 1
         return (end[e] == d) + (end[d] == e)
 
-    def faces_open_after(d: int, e: int, delta: int) -> int:
+    def faces_open_after(d: int, e: int, open_faces: int, delta: int) -> int:
         """Open faces after pairing d and e: end o (d e) splits the cycle of
         end through both darts or joins the two through one each, and loses
         the ``delta`` cycles that close."""
@@ -164,8 +161,9 @@ def enumerate_raw_shadows(
         return open_faces + (1 if u == e else -1) - delta
 
     def join(d: int, e: int) -> None:
-        """Pair d and e in the table: a walk that halted at one of them goes
-        on along the other's walk to the next unpaired dart."""
+        """Pair d and e in the tables: a face walk that halted at one of
+        them goes on along the other's walk to the next unpaired dart, and
+        the far ends of their strands become each other's mates."""
         end_d, end_e = end[d], end[e]
         for u, v in ((start[d], end_e), (start[e], end_d)):
             if u != d and u != e:
@@ -173,12 +171,15 @@ def enumerate_raw_shadows(
                     v = end_e if v == d else end_d
                 end[u] = v
                 start[v] = u
+        mate[mate[d]] = mate[e]
+        mate[mate[e]] = mate[d]
 
     def unjoin(d: int, e: int) -> None:
         """Undo ``join(d, e)``, which left the entries of d and e alone."""
         for u in (d, e):
             end[start[u]] = u
             start[end[u]] = u
+            mate[mate[u]] = u
 
     # Orderly generation: a shadow built here equals its own trace from
     # dart 0 in sense +1, so it is canonical exactly when no other (root,
@@ -213,27 +214,6 @@ def enumerate_raw_shadows(
     path: List[int] = []
     replay = _resume_path(resume_token, n, fold_mirror)
 
-    # iterative backtracking; each frame: [d, candidates, next index, undo,
-    # rivals still tied]
-    stack: List[list] = []
-
-    def candidates_for(d: int) -> List[int]:
-        if target - closed - 2 * (3 * n - pairs - 1) == 2:
-            # every pairing left must close two faces: d's only partner is
-            # the end of its open face walk, and only if that walk ends at d
-            a = end[d]
-            return [a] if a != d and end[a] == d else []
-        cands = [
-            e
-            for e in range(d + 1, N)
-            if alpha[e] == -1 and touched[e // 6]
-        ]
-        for c in range(n):
-            if not touched[c]:
-                cands.append(6 * c)
-                break
-        return cands
-
     def check_budget(e: int) -> None:
         if budget is None:
             return
@@ -249,32 +229,35 @@ def enumerate_raw_shadows(
         raise BudgetExceeded(message, collected if collected is not None else [],
                              _make_token(path + [e], n, fold_mirror), n, "search")
 
-    pairs = 0
-    closed = 0
-    stack.append([0, candidates_for(0), 0, None, rivals])
-    while stack:
-        frame = stack[-1]
-        d, cands, idx, _, rivals = frame
-        advanced = False
-        while idx < len(cands):
-            e = cands[idx]
-            idx += 1
+    def search(d: int, rivals: list, rem: int, to_close: int,
+               open_faces: int) -> Iterator[TripleProjection]:
+        """Pair the first unpaired dart d in every way the checks allow and
+        search on below each pairing; ``rem`` pairings are left after it,
+        ``to_close`` faces still to close and ``open_faces`` open."""
+        nonlocal nodes
+        if to_close - 2 * rem == 2:
+            # every pairing left must close two faces: d's only partner is
+            # the end of its open face walk, and only if that walk ends at d
+            a = end[d]
+            cands = [a] if a != d and end[a] == d else []
+        else:
+            cands = [e for e in range(d + 1, N) if alpha[e] < 0 and touched[e // 6]]
+            if not all(touched):
+                cands.append(6 * touched.index(False))
+        for e in cands:
             if replay:
                 # the recorded pairing is popped when it is committed; a
-                # later one in this frame means it was rejected or skipped
+                # later one here means it was rejected or skipped
                 if e < replay[0]:
                     continue
                 if e > replay[0]:
                     replay.clear()
             nodes += 1
             check_budget(e)
-            ra, rb = find(d), find(e)
-            if ra == rb and pairs + 1 < 3 * n:
+            if mate[d] == e and rem:
                 continue  # would close a strand component early
             delta = faces_closed(d, e)
-            rem = 3 * n - pairs - 1
-            to_close = target - closed - delta
-            if to_close < 0:
+            if to_close < delta:
                 continue
             # Euler bound.  The faces still to close are the cycles of
             # end' o alpha', for the table end' after this pairing (c' cycles)
@@ -283,72 +266,35 @@ def enumerate_raw_shadows(
             # so z(end') + z(alpha') + z(end' o alpha') <= 2 rem + 2k: at
             # most rem + 2k - c' faces close, and k <= min(c', rem) since
             # each orbit holds a cycle of end' and a pair of alpha'.
-            open_after = faces_open_after(d, e, delta)
-            if to_close > rem + min(open_after, 2 * rem - open_after):
+            open_after = faces_open_after(d, e, open_faces, delta)
+            if to_close - delta > rem + min(open_after, 2 * rem - open_after):
                 continue
             alpha[d] = e
             alpha[e] = d
             nd = alpha.index(-1) if rem else N
             tied = still_tied(rivals, nd)  # None: no completion is canonical
-            if tied is None or not rem:
-                if tied is not None:
-                    # the two face checks above left exactly 2n + 2 faces
-                    yield TripleProjection(list(alpha), n)
-                alpha[d] = -1
-                alpha[e] = -1
-                continue
-            # commit
-            frame[2] = idx
-            undo = {"e": e, "fresh": not touched[e // 6], "delta": delta,
-                    "open": open_faces}
-            if ra != rb:
-                if rank[ra] < rank[rb]:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-                undo["union"] = (ra, rb, rank[ra] == rank[rb])
-                if rank[ra] == rank[rb]:
-                    rank[ra] += 1
-            touched[e // 6] = True
-            join(d, e)
-            open_faces = open_after
-            closed += delta
-            pairs += 1
-            path.append(e)
-            if replay:
-                replay.pop(0)
-            stack.append([nd, candidates_for(nd), 0, undo, tied])
-            advanced = True
-            break
-        if advanced:
-            continue
-        # frame exhausted: undo the pairing that created it and pop; a
-        # replayed pairing that this frame skipped or rejected is passed
-        replay.clear()
-        stack.pop()
-        if stack:
-            pframe = stack[-1]
-            pd = pframe[0]
-            undo = frame[3]
-            _undo_pair(alpha, touched, parent, rank, pd, undo)
-            unjoin(pd, undo["e"])
-            open_faces = undo["open"]
-            closed -= undo["delta"]
-            pairs -= 1
-            path.pop()
+            if tied is not None and not rem:
+                # the two face checks above left exactly 2n + 2 faces
+                yield TripleProjection(list(alpha), n)
+            elif tied is not None:
+                fresh = not touched[e // 6]
+                touched[e // 6] = True
+                join(d, e)
+                path.append(e)
+                if replay:
+                    replay.pop(0)
+                yield from search(nd, tied, rem - 1, to_close - delta, open_after)
+                # a replay still pending was rejected or skipped below this
+                # pairing; the rest of the candidates here run in full
+                replay.clear()
+                path.pop()
+                unjoin(d, e)
+                if fresh:
+                    touched[e // 6] = False
+            alpha[d] = -1
+            alpha[e] = -1
 
-
-def _undo_pair(alpha, touched, parent, rank, d, undo) -> None:
-    e = undo["e"]
-    alpha[d] = -1
-    alpha[e] = -1
-    if undo["fresh"]:
-        touched[e // 6] = False
-    u = undo.get("union")
-    if u is not None:
-        ra, rb, bumped = u
-        parent[rb] = rb
-        if bumped:
-            rank[ra] -= 1
+    yield from search(0, rivals, 3 * n - 1, 2 * n + 2, n)
 
 
 def enumerate_projections(

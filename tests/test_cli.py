@@ -95,6 +95,22 @@ def test_enumerate_refuses_resume_file_for_other_n(tmp_path):
     assert not (tmp_path / "b.jsonl").exists()
 
 
+@pytest.mark.parametrize("token, partial", [
+    (json.dumps({"n": 3, "fold_mirror": True}), []),
+    (json.dumps([1, 2]), []),
+    (json.dumps({"n": 3, "fold_mirror": True, "path": ["x"]}), []),
+    (None, 5),
+    (None, [[1.5, 0] + list(range(2, 18))]),
+])
+def test_enumerate_refuses_a_malformed_resume_file(tmp_path, capsys, token, partial):
+    resume = tmp_path / "resume.json"
+    resume.write_text(json.dumps({"n": 3, "fold_mirror": True,
+                                  "token": token, "partial": partial}))
+    assert main(["enumerate", "--n", "3", "--out", str(tmp_path / "a.jsonl"),
+                 "--resume", str(resume)]) == EXIT_ERROR
+    assert set(json.loads(capsys.readouterr().err)) == {"error"}
+
+
 def test_classify_and_report_roundtrip(tmp_path):
     run = tmp_path / "run.jsonl"
     assert main(["classify", "--n", "2", "--out", str(run)]) == EXIT_OK

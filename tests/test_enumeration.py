@@ -126,6 +126,20 @@ def test_search_reaches_every_class_of_an_unpruned_search(n, labelled):
             tuple(p.alpha) for p in enumerate_raw_shadows(n, fold_mirror=fold)}
 
 
+@pytest.mark.parametrize("n, fold_mirror, pairings", [
+    (2, True, 147), (2, False, 153),
+    (3, True, 2470), (3, False, 3181),
+    (4, True, 70402), (4, False, 114715),
+])
+def test_search_tries_a_fixed_number_of_pairings(n, fold_mirror, pairings):
+    # a node budget of the pairings tried finishes and one less stops, so a
+    # change to the pruning shows here even where the yield is unchanged
+    list(enumerate_raw_shadows(n, Budget(max_nodes=pairings), fold_mirror=fold_mirror))
+    with pytest.raises(BudgetExceeded):
+        list(enumerate_raw_shadows(n, Budget(max_nodes=pairings - 1),
+                                   fold_mirror=fold_mirror))
+
+
 def test_projection_counts_small():
     assert len(enumerate_projections(2)) == 1
     assert len(enumerate_projections(3)) == 2
