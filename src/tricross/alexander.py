@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Tuple
 
 from .laurent import IntLaurent
-from .maps import DiagramError, DoubleDiagram, d_opposite
+from .maps import DiagramError, DoubleDiagram
 
 
 def _int_det(mat: List[List[int]]) -> int:
@@ -69,77 +69,50 @@ def _balanced_digits(value: int, base: int) -> Dict[int, int]:
     return digits
 
 
-def _arcs(dd: DoubleDiagram, tails: FrozenSet[int]) -> Dict[int, int]:
-    """Arc index of every tail dart along the knot traversal."""
-    (order,) = dd.walks(tails)
-    # break arcs after each under-passage exit: an under-exit tail starts a new arc
-    arc_of: Dict[int, int] = {}
-    arc = 0
-    for d in order:
-        if d % 4 in (0, 2):  # exiting on the under-strand: new arc starts here
-            arc += 1
-        arc_of[d] = arc
-    # the first few darts (before the first under-exit) belong to the last arc
-    total = arc
-    for d in order:
-        if d % 4 in (0, 2):
-            break
-        arc_of[d] = total
-    return {d: a % total for d, a in arc_of.items()} if total else {}
-
-
 def _wirtinger(dd: DoubleDiagram, tails: FrozenSet[int]) -> List[Tuple[int, int, int, int]]:
     """Per crossing ``(out_arc, in_arc, over_arc, sign)``: the under-strand
-    passes from ``in_arc`` to ``out_arc`` beneath ``over_arc``."""
-    arc_of = _arcs(dd, tails)
-    rows = []
-    for c in range(dd.n):
-        u_out = 4 * c + (0 if 4 * c + 0 in tails else 2)
-        o_out = 4 * c + (1 if 4 * c + 1 in tails else 3)
-        u_in_far = dd.alpha[d_opposite(u_out)]  # tail dart of the incoming under edge
-        rows.append((arc_of[u_out], arc_of[u_in_far], arc_of[o_out],
-                     dd.crossing_sign(c, tails)))
-    return rows
+    passes from ``in_arc`` to ``out_arc`` beneath ``over_arc``.
+
+    One walk along the knot numbers the arcs: a new arc starts at each
+    under-strand exit (an even tail dart), so a dart lies on arc ``k mod n``
+    after ``k`` under exits, and the darts before the first exit lie on the
+    arc that wraps round to them."""
+    n = dd.n
+    (order,) = dd.walks(tails)
+    under: List[Tuple[int, int]] = [(0, 0)] * n  # (dart, arcs begun) per crossing
+    over = [(0, 0)] * n
+    k = 0
+    for d in order:
+        if d % 2 == 0:
+            k += 1
+            under[d // 4] = (d, k)
+        else:
+            over[d // 4] = (d, k)
+    return [(u_arc % n, u_arc - 1, o_arc % n, 1 if (o - u) % 4 == 1 else -1)
+            for (u, u_arc), (o, o_arc) in zip(under, over)]
 
 
 def alexander(dd: DoubleDiagram, tails: FrozenSet[int] | None = None) -> IntLaurent:
     """Normalised Alexander polynomial of a knot diagram."""
-    m = dd.n
-    if m == 0:
+    if dd.n == 0:
         return IntLaurent.from_int_coeffs({0: 1})
     if tails is None:
         tails = dd.orientations()[0]
-
-    # rows over Z[t] as coefficient pairs (c0 + c1*t) per arc column
-    rows: List[Dict[int, Tuple[int, int]]] = []
-    for out_arc, in_arc, over_arc, sign in _wirtinger(dd, tails):
-        row: Dict[int, Tuple[int, int]] = {}
-
-        def add(col: int, c0: int, c1: int) -> None:
-            a0, a1 = row.get(col, (0, 0))
-            row[col] = (a0 + c0, a1 + c1)
-
-        if sign > 0:
-            add(over_arc, 1, -1)   # 1 - t
-            add(in_arc, 0, 1)      # t
-            add(out_arc, -1, 0)    # -1
-        else:
-            add(over_arc, -1, 1)   # t - 1
-            add(in_arc, 1, 0)      # 1
-            add(out_arc, 0, -1)    # -t
-        rows.append(row)
-
-    size = m - 1
+    size = dd.n - 1
     if size == 0:
         return IntLaurent.from_int_coeffs({0: 1})
+    # the rows of the crossing matrix at t = B, crossing by crossing, with
+    # the last crossing's row and the last arc's column dropped
     base = 2 * 4 ** size + 1
-    mat = [
-        [
-            rows[i].get(j, (0, 0))[0] + rows[i].get(j, (0, 0))[1] * base
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
+    mat = [[0] * size for _ in range(size)]
+    for row, (out_arc, in_arc, over_arc, sign) in zip(mat, _wirtinger(dd, tails)):
+        if sign > 0:
+            cells = ((over_arc, 1 - base), (in_arc, base), (out_arc, -1))
+        else:
+            cells = ((over_arc, base - 1), (in_arc, 1), (out_arc, -base))
+        for col, value in cells:
+            if col < size:
+                row[col] += value
     return _normalize(_balanced_digits(_int_det(mat), base))
 
 

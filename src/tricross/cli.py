@@ -28,7 +28,7 @@ from .enumeration import (
 )
 from .homfly import BudgetError, homfly
 from .jones import jones_triple
-from .laurent import breadth, is_monic
+from .laurent import IntLaurent, breadth, is_monic
 from .maps import DiagramError, TripleDiagram, TripleProjection
 from .spd import parse_spd, serialize_spd
 from .tables import conjecture_report, emit_table, emit_tikz, identify, load_reference
@@ -187,18 +187,41 @@ def _run_records(run: ClassifyRun) -> List[str]:
     return lines
 
 
+# The fields ``report`` reads from each record type, with their JSON types.
+_RECORD_FIELDS = {
+    "row": {"n": int, "projections": int, "knots": int},
+    "class": {"c3": int, "jones": str, "alexander": str, "witness": str,
+              "kauffman": (str, type(None))},
+}
+
+
 def _read_run(path: str) -> tuple[List[dict], List[KnotClass]]:
+    """Row and class records of a ``classify`` run; a record that lacks a
+    field the report reads, or whose Alexander polynomial does not parse, is
+    refused with its line number."""
     rows: List[dict] = []
     classes: List[KnotClass] = []
     with open(path) as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
-            if rec.get("type") == "row":
+            where = f"{path}, line {number}"
+            if not isinstance(rec, dict):
+                raise DiagramError(f"{where}: not a JSON object")
+            kind = rec.get("type")
+            bad = [k for k, t in _RECORD_FIELDS.get(kind, {}).items()
+                   if not isinstance(rec.get(k), t)]
+            if bad:
+                raise DiagramError(f"{where}: {kind} record has no valid {', '.join(bad)}")
+            if kind == "row":
                 rows.append(rec)
-            elif rec.get("type") == "class":
+            elif kind == "class":
+                try:
+                    breadth(IntLaurent.parse(rec["alexander"]))
+                except ValueError as exc:
+                    raise DiagramError(f"{where}: alexander: {exc}") from None
                 classes.append(KnotClass(
                     jones_folded=rec["jones"],
                     alexander=rec["alexander"],
@@ -211,11 +234,9 @@ def _read_run(path: str) -> tuple[List[dict], List[KnotClass]]:
 
 
 def cmd_report(cfg: RunConfig, run_file: Optional[str]) -> int:
+    """The report of a run file; with none, of an empty run."""
     refs = load_reference()
-    if run_file is None:
-        _emit(_open_out(cfg.out), json.dumps({"rows": [], "classes": []}))
-        return EXIT_OK
-    rows, classes = _read_run(run_file)
+    rows, classes = _read_run(run_file) if run_file is not None else ([], [])
     for kc in classes:
         kc.name = identify(kc.fingerprint, refs)
     report = conjecture_report(classes, refs)

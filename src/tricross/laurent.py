@@ -15,44 +15,45 @@ All values are immutable; arithmetic never stores zero coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Hashable, Mapping, Tuple, Type, TypeVar
+
+_L = TypeVar("_L", bound="_Laurent")
 
 
-class HalfLaurent:
-    """Laurent polynomial in ``t^(1/2)`` with integer coefficients.
+class _Laurent:
+    """Immutable sparse map from exponent keys to nonzero integer coefficients.
 
-    Keys of ``coeffs`` are twice the exponent (the numerator of the exponent
-    over denominator 2), values are nonzero integers.
+    Subclasses fix the key (an ``int`` or an ``(a, z)`` pair) and supply
+    ``__mul__`` and ``_UNIT``, the key of the constant term.  Every operation
+    returns the class of its left operand.  Values compare equal only within
+    one ring, told apart by ``_UNIT``: ``HalfLaurent`` and ``IntLaurent``
+    compare by coefficients, a ``Laurent2`` never equals either.
     """
 
     __slots__ = ("_c",)
+    _UNIT: Hashable
 
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        c: Dict[int, int] = {}
-        if coeffs:
-            for e2, v in coeffs.items():
-                if not isinstance(e2, int) or not isinstance(v, int):
-                    raise TypeError("exponent-doubles and coefficients must be int")
-                if v:
-                    c[e2] = c.get(e2, 0) + v
-                    if not c[e2]:
-                        del c[e2]
-        self._c = c
-
-    # -- constructors ---------------------------------------------------
+    def __init__(self, coeffs: Mapping | None = None):
+        self._c: Dict = {k: v for k, v in coeffs.items() if v} if coeffs else {}
 
     @classmethod
-    def zero(cls) -> "HalfLaurent":
+    def _of(cls: Type[_L], c: Dict) -> _L:
+        """Wrap ``c`` as it is: a sum, negation or product whose zero
+        coefficients are already dropped."""
+        p = cls.__new__(cls)
+        p._c = c
+        return p
+
+    @classmethod
+    def zero(cls: Type[_L]) -> _L:
         return cls()
 
     @classmethod
-    def one(cls) -> "HalfLaurent":
-        return cls({0: 1})
-
-    # -- basic queries ---------------------------------------------------
+    def one(cls: Type[_L]) -> _L:
+        return cls({cls._UNIT: 1})
 
     @property
-    def coeffs(self) -> Dict[int, int]:
+    def coeffs(self) -> Dict:
         return dict(self._c)
 
     def is_zero(self) -> bool:
@@ -60,6 +61,62 @@ class HalfLaurent:
 
     def __bool__(self) -> bool:
         return bool(self._c)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, _Laurent) and self._UNIT == other._UNIT
+                and self._c == other._c)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._c.items()))
+
+    def __neg__(self: _L) -> _L:
+        return self._of({k: -v for k, v in self._c.items()})
+
+    def __add__(self: _L, other: _L) -> _L:
+        c = dict(self._c)
+        for k, v in other._c.items():
+            nv = c.get(k, 0) + v
+            if nv:
+                c[k] = nv
+            else:
+                c.pop(k, None)
+        return self._of(c)
+
+    def __sub__(self: _L, other: _L) -> _L:
+        return self + (-other)
+
+    def __pow__(self: _L, n: int) -> _L:
+        if n < 0:
+            raise ValueError("negative powers are not defined for polynomials")
+        out = self.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._c!r})"
+
+
+class HalfLaurent(_Laurent):
+    """Laurent polynomial in ``t^(1/2)`` with integer coefficients.
+
+    Keys of ``coeffs`` are twice the exponent (the numerator of the exponent
+    over denominator 2), values are nonzero integers.
+    """
+
+    __slots__ = ()
+    _UNIT = 0
+
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
+        if coeffs and not all(isinstance(e2, int) and isinstance(v, int)
+                              for e2, v in coeffs.items()):
+            raise TypeError("exponent-doubles and coefficients must be int")
+        super().__init__(coeffs)
 
     def min_exp2(self) -> int:
         if not self._c:
@@ -75,30 +132,6 @@ class HalfLaurent:
         """Twice the breadth (max exponent minus min exponent)."""
         return self.max_exp2() - self.min_exp2()
 
-    # -- ring operations --------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HalfLaurent) and self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
-
-    def __neg__(self) -> "HalfLaurent":
-        return type(self)({e: -v for e, v in self._c.items()})
-
-    def __add__(self, other: "HalfLaurent") -> "HalfLaurent":
-        c = dict(self._c)
-        for e, v in other._c.items():
-            nv = c.get(e, 0) + v
-            if nv:
-                c[e] = nv
-            else:
-                c.pop(e, None)
-        return type(self)(c)
-
-    def __sub__(self, other: "HalfLaurent") -> "HalfLaurent":
-        return self + (-other)
-
     def __mul__(self, other: "HalfLaurent") -> "HalfLaurent":
         c: Dict[int, int] = {}
         for e1, v1 in self._c.items():
@@ -109,7 +142,7 @@ class HalfLaurent:
                     c[e] = nv
                 else:
                     c.pop(e, None)
-        return type(self)(c)
+        return self._of(c)
 
     def scale(self, k: int, exp2: int = 0) -> "HalfLaurent":
         """Multiply by the monomial ``k * t^(exp2/2)``."""
@@ -117,21 +150,9 @@ class HalfLaurent:
             return type(self)()
         return type(self)({e + exp2: v * k for e, v in self._c.items()})
 
-    def __pow__(self, n: int) -> "HalfLaurent":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        out = type(self).one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def invert_t(self) -> "HalfLaurent":
         """The image under ``t -> 1/t`` (mirror symmetry of the Jones polynomial)."""
-        return type(self)({-e: v for e, v in self._c.items()})
+        return self._of({-e: v for e, v in self._c.items()})
 
     def eval_fraction(self, t: Fraction) -> Fraction:
         """Evaluate at a rational square of ``t^(1/2)``.
@@ -158,9 +179,6 @@ class HalfLaurent:
                 exp = f"{e2}/2"
             parts.append(f"{v}*t^{exp}")
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._c!r})"
 
     @classmethod
     def parse(cls, text: str) -> "HalfLaurent":
@@ -218,57 +236,11 @@ def is_monic(p: IntLaurent) -> bool:
     return abs(p.coeffs[p.max_exp2()]) == 1
 
 
-class Laurent2:
+class Laurent2(_Laurent):
     """Two-variable integer Laurent polynomial in ``a`` and ``z``."""
 
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Mapping[Tuple[int, int], int] | None = None):
-        c: Dict[Tuple[int, int], int] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if v:
-                    c[k] = c.get(k, 0) + v
-                    if not c[k]:
-                        del c[k]
-        self._c = c
-
-    @classmethod
-    def zero(cls) -> "Laurent2":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Laurent2":
-        return cls({(0, 0): 1})
-
-    @property
-    def coeffs(self) -> Dict[Tuple[int, int], int]:
-        return dict(self._c)
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Laurent2) and self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
-
-    def __neg__(self) -> "Laurent2":
-        return Laurent2({k: -v for k, v in self._c.items()})
-
-    def __add__(self, other: "Laurent2") -> "Laurent2":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            nv = c.get(k, 0) + v
-            if nv:
-                c[k] = nv
-            else:
-                c.pop(k, None)
-        return Laurent2(c)
-
-    def __sub__(self, other: "Laurent2") -> "Laurent2":
-        return self + (-other)
+    __slots__ = ()
+    _UNIT = (0, 0)
 
     def __mul__(self, other: "Laurent2") -> "Laurent2":
         c: Dict[Tuple[int, int], int] = {}
@@ -280,28 +252,20 @@ class Laurent2:
                     c[k] = nv
                 else:
                     c.pop(k, None)
-        return Laurent2(c)
-
-    def __pow__(self, n: int) -> "Laurent2":
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        out = Laurent2.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return self._of(c)
 
     def scale(self, k: int, ea: int = 0, ez: int = 0) -> "Laurent2":
         if not k:
-            return Laurent2()
-        return Laurent2({(a + ea, z + ez): v * k for (a, z), v in self._c.items()})
+            return type(self)()
+        return self._of({(a + ea, z + ez): v * k for (a, z), v in self._c.items()})
 
     def mirror(self) -> "Laurent2":
         """Image under ``a -> 1/a, z -> -z`` (the mirror image of a link)."""
-        return Laurent2({(-a, z): (v if z % 2 == 0 else -v) for (a, z), v in self._c.items()})
+        return self._of({(-a, z): (v if z % 2 == 0 else -v) for (a, z), v in self._c.items()})
 
     def invert_a(self) -> "Laurent2":
         """Image under ``a -> 1/a`` (the mirror image for Kauffman F)."""
-        return Laurent2({(-a, z): v for (a, z), v in self._c.items()})
+        return self._of({(-a, z): v for (a, z), v in self._c.items()})
 
     def substitute_jones(self) -> HalfLaurent:
         """Specialise to the Jones variable: ``a = 1/t``, ``z = t^(1/2) - t^(-1/2)``.
@@ -323,9 +287,6 @@ class Laurent2:
         for (ea, ez) in sorted(self._c):
             parts.append(f"{self._c[(ea, ez)]}*a^{ea}*z^{ez}")
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Laurent2({self._c!r})"
 
     @classmethod
     def parse(cls, text: str) -> "Laurent2":

@@ -103,7 +103,6 @@ def apply_m(p: TripleProjection, site: MoveSite) -> TripleProjection:
     q = _slide_projection(p, site.crossing, site.slot)
     if q is None:
         raise StaleSiteError("slide at the referenced anchor is not applicable")
-    q.validate()
     return q
 
 

@@ -13,7 +13,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .alexander import alexander
@@ -307,24 +307,8 @@ class ConjectureReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "violated": self.violated,
-                "classes": [
-                    {
-                        "name": v.name,
-                        "c3": v.c3,
-                        "breadth": v.breadth,
-                        "monic": v.monic,
-                        "verdict": v.verdict,
-                        "weak_bound_holds": v.weak_bound_holds,
-                        "c2_bound_holds": v.c2_bound_holds,
-                        "alternating_bound_holds": v.alternating_bound_holds,
-                    }
-                    for v in self.verdicts
-                ],
-            }
-        )
+        return json.dumps({"violated": self.violated,
+                           "classes": [asdict(v) for v in self.verdicts]})
 
 
 def conjecture_report(classes, refs: List[ReferenceKnot]) -> ConjectureReport:

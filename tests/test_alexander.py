@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb
 
@@ -14,8 +15,9 @@ from tricross import (
     parse_spd,
     rational_knot_pd,
 )
-from tricross.alexander import _balanced_digits
-from tricross.enumeration import HEIGHT_WORDS
+from tricross.alexander import _balanced_digits, _int_det, _normalize, _wirtinger
+from tricross.canon import canonical_diagram_code
+from tricross.enumeration import HEIGHT_WORDS, enumerate_projections
 from tricross.laurent import HalfLaurent, Laurent2
 from conftest import (
     PD_FIG8, PD_KINK, PD_TREFOIL, T2_1, T2_2, W_41_41_SPLIT, W_51_SPLIT, W_SQUARE)
@@ -107,3 +109,96 @@ def test_alexander_equals_homfly_specialisation_on_sample(projections_n3):
         if h != Laurent2.one():
             knotted += 1
             assert alexander(dd) == _homfly_at_alexander_point(h)
+
+
+# -- the Wirtinger rows as first written, kept as a reference ---------------
+
+
+def _reference_arcs(dd, tails):
+    """Arc index of every tail dart along the knot traversal."""
+    (order,) = dd.walks(tails)
+    arc_of = {}
+    arc = 0
+    for d in order:
+        if d % 4 in (0, 2):  # exiting on the under-strand: new arc starts here
+            arc += 1
+        arc_of[d] = arc
+    # the first few darts (before the first under-exit) belong to the last arc
+    total = arc
+    for d in order:
+        if d % 4 in (0, 2):
+            break
+        arc_of[d] = total
+    return {d: a % total for d, a in arc_of.items()} if total else {}
+
+
+def _reference_wirtinger(dd, tails):
+    arc_of = _reference_arcs(dd, tails)
+    rows = []
+    for c in range(dd.n):
+        u_out = 4 * c + (0 if 4 * c + 0 in tails else 2)
+        o_out = 4 * c + (1 if 4 * c + 1 in tails else 3)
+        u_in_far = dd.alpha[4 * c + (u_out % 4 + 2) % 4]
+        rows.append((arc_of[u_out], arc_of[u_in_far], arc_of[o_out],
+                     dd.crossing_sign(c, tails)))
+    return rows
+
+
+def _reference_alexander(dd):
+    """Rows over Z[t] as (c0, c1) pairs, read into the matrix at t = B."""
+    m = dd.n
+    if m == 0:
+        return IntLaurent.from_int_coeffs({0: 1})
+    tails = dd.orientations()[0]
+    rows = []
+    for out_arc, in_arc, over_arc, sign in _reference_wirtinger(dd, tails):
+        row = {}
+
+        def add(col, c0, c1):
+            a0, a1 = row.get(col, (0, 0))
+            row[col] = (a0 + c0, a1 + c1)
+
+        if sign > 0:
+            add(over_arc, 1, -1)
+            add(in_arc, 0, 1)
+            add(out_arc, -1, 0)
+        else:
+            add(over_arc, -1, 1)
+            add(in_arc, 1, 0)
+            add(out_arc, 0, -1)
+        rows.append(row)
+    size = m - 1
+    if size == 0:
+        return IntLaurent.from_int_coeffs({0: 1})
+    base = 2 * 4 ** size + 1
+    mat = [[rows[i].get(j, (0, 0))[0] + rows[i].get(j, (0, 0))[1] * base
+            for j in range(size)] for i in range(size)]
+    return _normalize(_balanced_digits(_int_det(mat), base))
+
+
+def _agrees_with_reference(d):
+    dd = convert_to_double(d)
+    for tails in dd.orientations():
+        assert _wirtinger(dd, tails) == _reference_wirtinger(dd, tails)
+    a, ref = alexander(dd), _reference_alexander(dd)
+    assert (a, str(a), repr(a)) == (ref, str(ref), repr(ref))
+
+
+def test_alexander_matches_the_reference_on_every_diagram_up_to_three(projections_n3):
+    projections = enumerate_projections(1) + projections_n3[2] + projections_n3[3]
+    seen = set()
+    for p in projections:
+        for word in itertools.product(HEIGHT_WORDS, repeat=p.n):
+            d = TripleDiagram(p, word)
+            code = canonical_diagram_code(d)
+            if code not in seen:
+                seen.add(code)
+                _agrees_with_reference(d)
+    assert len(seen) == 2 + 21 + 330
+
+
+def test_alexander_matches_the_reference_on_seeded_words_at_four():
+    rng = random.Random(17)
+    for p in enumerate_projections(4):
+        for _ in range(12):
+            _agrees_with_reference(TripleDiagram(p, [rng.choice(HEIGHT_WORDS) for _ in range(4)]))

@@ -174,6 +174,46 @@ def test_report_detects_violation(tmp_path):
     assert main(["report", str(run)]) == EXIT_VIOLATION
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_report_without_a_run_file_reports_an_empty_run(tmp_path, fmt):
+    run = tmp_path / "empty.jsonl"
+    run.write_text("")
+    with_file, without = tmp_path / "a.out", tmp_path / "b.out"
+    assert main(["report", str(run), "--format", fmt, "--out", str(with_file)]) == EXIT_OK
+    assert main(["report", "--format", fmt, "--out", str(without)]) == EXIT_OK
+    assert without.read_text() == with_file.read_text()
+    if fmt == "json":
+        assert json.loads(without.read_text()) == {
+            "rows": [], "conjecture": {"violated": False, "classes": []}}
+
+
+_CLASS = {"type": "class", "c3": 2, "jones": "x", "alexander": "1*t^-1 + -1*t^0 + 1*t^1",
+          "kauffman": None, "witness": "w", "composite": False}
+
+
+@pytest.mark.parametrize("record", [
+    {"type": "class", "c3": 2},
+    {"type": "row", "n": 2},
+    [1, 2],
+    dict(_CLASS, alexander="garbage"),
+    dict(_CLASS, alexander="0"),
+    dict(_CLASS, alexander="1*t^1/2"),
+    dict(_CLASS, c3="2"),
+    dict(_CLASS, kauffman=5),
+], ids=["class-without-jones", "row-without-projections", "not-an-object",
+        "garbage-alexander", "zero-alexander", "half-power-alexander", "text-c3",
+        "number-kauffman"])
+@pytest.mark.parametrize("fmt", ["json", "latex"])
+def test_report_refuses_a_malformed_run_file(tmp_path, capsys, record, fmt):
+    run = tmp_path / "run.jsonl"
+    run.write_text(json.dumps({"type": "row", "n": 2, "projections": 1, "knots": 1})
+                   + "\n" + json.dumps(record) + "\n")
+    assert main(["report", str(run), "--format", fmt]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert list(json.loads(err)) == ["error"]
+    assert "line 2" in json.loads(err)["error"]
+
+
 def test_tikz_command(tmp_path):
     spd = tmp_path / "d.spd"
     spd.write_text(T2_1)

@@ -78,3 +78,53 @@ def test_laurent2_mirror_involution():
 
 def test_laurent2_substitute_jones_on_constant():
     assert Laurent2.one().substitute_jones() == HalfLaurent.one()
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_laurent2_pow_matches_repeated_multiplication(k):
+    p = Laurent2({(1, -1): 1, (-1, -1): 1, (0, 0): -1})
+    q = Laurent2.one()
+    for _ in range(k):
+        q = q * p
+    assert p**k == q
+
+
+def test_laurent2_keeps_type_under_every_operation():
+    a = Laurent2({(1, 0): 1, (0, 1): -2})
+    for value in (a + a, a - a, -a, a * a, a ** 3, a ** 0, a.scale(3, 1, 2),
+                  a.scale(0), a.mirror(), a.invert_a(), Laurent2.zero(), Laurent2.one()):
+        assert type(value) is Laurent2
+    assert type(a.substitute_jones()) is HalfLaurent
+
+
+def test_int_laurent_equals_half_laurent_with_the_same_coefficients():
+    a = IntLaurent.from_int_coeffs({-1: 1, 0: -1, 1: 1})
+    b = HalfLaurent({-2: 1, 0: -1, 2: 1})
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert IntLaurent.zero() == HalfLaurent.zero()
+
+
+def test_rings_never_compare_equal():
+    assert HalfLaurent.zero() != Laurent2.zero()
+    assert Laurent2.zero() != HalfLaurent.zero()
+    assert HalfLaurent.one() != Laurent2.one()
+    assert IntLaurent.zero() != Laurent2.zero()
+
+
+def test_construction_and_power_errors():
+    with pytest.raises(TypeError):
+        HalfLaurent({0.5: 1})
+    with pytest.raises(TypeError):
+        HalfLaurent({1: 1.0})
+    with pytest.raises(ValueError):
+        IntLaurent({1: 1})
+    with pytest.raises(ValueError):
+        IntLaurent.one().scale(1, 1)  # t^(1/2) is not an integer power
+    for p in (HalfLaurent.one(), IntLaurent.one(), Laurent2.one()):
+        with pytest.raises(ValueError):
+            p ** -1
+    with pytest.raises(ValueError):
+        HalfLaurent.parse("1*t^1/3")
+    with pytest.raises(ValueError):
+        Laurent2.parse("1*a^1")

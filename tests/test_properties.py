@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tricross import (
@@ -32,12 +33,20 @@ laurent2s = st.dictionaries(
 ).map(Laurent2)
 
 
-@given(half_laurents, half_laurents, half_laurents)
-def test_half_laurent_ring_axioms(a, b, c):
+RINGS = pytest.mark.parametrize("polys", [half_laurents, laurent2s],
+                                ids=["HalfLaurent", "Laurent2"])
+
+
+@RINGS
+@given(data=st.data())
+def test_ring_axioms(polys, data):
+    a, b, c = (data.draw(polys) for _ in range(3))
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    assert a - a == type(a).zero() and a * type(a).one() == a
 
 
 @given(half_laurents, half_laurents)
@@ -57,9 +66,11 @@ def test_invert_t_distributes(a, b):
     assert (a + b).invert_t() == a.invert_t() + b.invert_t()
 
 
-@given(half_laurents)
-def test_parse_str_roundtrip_random(a):
-    assert HalfLaurent.parse(str(a)) == a
+@RINGS
+@given(data=st.data())
+def test_parse_str_roundtrip_random(polys, data):
+    a = data.draw(polys)
+    assert type(a).parse(str(a)) == a
 
 
 @given(laurent2s, laurent2s)
