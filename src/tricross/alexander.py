@@ -69,16 +69,23 @@ def _balanced_digits(value: int, base: int) -> Dict[int, int]:
     return digits
 
 
-def _wirtinger(dd: DoubleDiagram, tails: FrozenSet[int]) -> List[Tuple[int, int, int, int]]:
+def _wirtinger(
+    dd: DoubleDiagram, tails: FrozenSet[int] | None = None
+) -> List[Tuple[int, int, int, int]]:
     """Per crossing ``(out_arc, in_arc, over_arc, sign)``: the under-strand
-    passes from ``in_arc`` to ``out_arc`` beneath ``over_arc``.
+    passes from ``in_arc`` to ``out_arc`` beneath ``over_arc``, along
+    ``tails`` or, without, along the knot's first walk.  A link raises
+    :class:`DiagramError`.
 
     One walk along the knot numbers the arcs: a new arc starts at each
     under-strand exit (an even tail dart), so a dart lies on arc ``k mod n``
     after ``k`` under exits, and the darts before the first exit lie on the
     arc that wraps round to them."""
     n = dd.n
-    (order,) = dd.walks(tails)
+    walks = dd.walks(tails)
+    if len(walks) != 1:
+        raise DiagramError("not a knot: more than one component")
+    (order,) = walks
     under: List[Tuple[int, int]] = [(0, 0)] * n  # (dart, arcs begun) per crossing
     over = [(0, 0)] * n
     k = 0
@@ -92,12 +99,11 @@ def _wirtinger(dd: DoubleDiagram, tails: FrozenSet[int]) -> List[Tuple[int, int,
             for (u, u_arc), (o, o_arc) in zip(under, over)]
 
 
-def alexander(dd: DoubleDiagram, tails: FrozenSet[int] | None = None) -> IntLaurent:
+def alexander(dd: DoubleDiagram) -> IntLaurent:
     """Normalised Alexander polynomial of a knot diagram."""
     if dd.n == 0:
         return IntLaurent.from_int_coeffs({0: 1})
-    if tails is None:
-        tails = dd.orientations()[0]
+    rels = _wirtinger(dd)
     size = dd.n - 1
     if size == 0:
         return IntLaurent.from_int_coeffs({0: 1})
@@ -105,7 +111,7 @@ def alexander(dd: DoubleDiagram, tails: FrozenSet[int] | None = None) -> IntLaur
     # the last crossing's row and the last arc's column dropped
     base = 2 * 4 ** size + 1
     mat = [[0] * size for _ in range(size)]
-    for row, (out_arc, in_arc, over_arc, sign) in zip(mat, _wirtinger(dd, tails)):
+    for row, (out_arc, in_arc, over_arc, sign) in zip(mat, rels):
         if sign > 0:
             cells = ((over_arc, 1 - base), (in_arc, base), (out_arc, -1))
         else:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, TextIO
 
 from .alexander import alexander
@@ -40,28 +39,18 @@ EXIT_VIOLATION = 2
 EXIT_PARTIAL = 3
 
 
-@dataclass
-class RunConfig:
-    n: int = 4
-    budget_secs: Optional[float] = None
-    max_nodes: Optional[int] = None
-    fold_mirror: bool = True
-    fmt: str = "json"
-    out: Optional[str] = None
-    resume: Optional[str] = None
-
-    def validate(self) -> None:
-        if not 1 <= self.n <= 6:
-            raise DiagramError(f"--n must be within 1..6, got {self.n}")
-        if self.budget_secs is not None and self.budget_secs <= 0:
-            raise DiagramError("--budget-secs must be positive")
-        if self.max_nodes is not None and self.max_nodes <= 0:
-            raise DiagramError("--max-nodes must be positive")
-
-    def budget(self) -> Optional[Budget]:
-        if self.budget_secs is None and self.max_nodes is None:
-            return None
-        return Budget(wall_secs=self.budget_secs, max_nodes=self.max_nodes)
+def _budget(args: argparse.Namespace) -> Optional[Budget]:
+    """The budget of ``enumerate`` and ``classify``, once their ``--n``,
+    ``--budget-secs`` and ``--max-nodes`` are checked."""
+    if not 1 <= args.n <= 6:
+        raise DiagramError(f"--n must be within 1..6, got {args.n}")
+    if args.budget_secs is not None and args.budget_secs <= 0:
+        raise DiagramError("--budget-secs must be positive")
+    if args.max_nodes is not None and args.max_nodes <= 0:
+        raise DiagramError("--max-nodes must be positive")
+    if args.budget_secs is None and args.max_nodes is None:
+        return None
+    return Budget(wall_secs=args.budget_secs, max_nodes=args.max_nodes)
 
 
 def _open_out(path: Optional[str]) -> TextIO:
@@ -83,8 +72,8 @@ def _error(message: str) -> int:
     return EXIT_ERROR
 
 
-def cmd_invariants(cfg: RunConfig, spd_file: str) -> int:
-    with open(spd_file) as f:
+def cmd_invariants(args: argparse.Namespace) -> int:
+    with open(args.spd_file) as f:
         text = f.read()
     obj = parse_spd(text)
     if not isinstance(obj, TripleDiagram):
@@ -102,14 +91,14 @@ def cmd_invariants(cfg: RunConfig, spd_file: str) -> int:
         record["homfly"] = str(homfly(dd))
     except BudgetError:
         record["homfly"] = None
-    _emit(_open_out(cfg.out), json.dumps(record))
+    _emit(_open_out(args.out), json.dumps(record))
     return EXIT_OK
 
 
-def _read_resume(cfg: RunConfig) -> tuple[Optional[str], list]:
+def _read_resume(args: argparse.Namespace) -> tuple[Optional[str], list]:
     """Token and partial codes of an earlier budget stop; nothing for an
     empty file.  A file written for another n or mirror setting is refused."""
-    with open(cfg.resume) as f:
+    with open(args.resume) as f:
         text = f.read().strip()
     if not text:
         return None, []
@@ -118,54 +107,56 @@ def _read_resume(cfg: RunConfig) -> tuple[Optional[str], list]:
     if not (isinstance(partial, list) and "token" in rec
             and all(isinstance(code, list) and all(type(e) is int for e in code)
                     for code in partial)
-            and (rec.get("n"), rec.get("fold_mirror")) == (cfg.n, cfg.fold_mirror)):
-        raise DiagramError(f"{cfg.resume} is not a resume file for n = {cfg.n}, "
-                           f"fold_mirror = {cfg.fold_mirror}")
+            and (rec.get("n"), rec.get("fold_mirror")) == (args.n, args.fold_mirror)):
+        raise DiagramError(f"{args.resume} is not a resume file for n = {args.n}, "
+                           f"fold_mirror = {args.fold_mirror}")
     return rec["token"], [tuple(code) for code in partial]
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    resume_token, partial_codes = _read_resume(cfg) if cfg.resume else (None, [])
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    budget = _budget(args)
+    resume_token, partial_codes = _read_resume(args) if args.resume else (None, [])
     try:
         projections = enumerate_projections(
-            cfg.n, cfg.fold_mirror, cfg.budget(), resume_token, partial_codes
+            args.n, args.fold_mirror, budget, resume_token, partial_codes
         )
     except BudgetExceeded as exc:
-        out = _open_out(cfg.out)
+        out = _open_out(args.out)
         lines = [
-            json.dumps({"type": "projection", "n": cfg.n, "partial": True,
-                        "spd": serialize_spd(TripleProjection(code, cfg.n))})
+            json.dumps({"type": "projection", "n": args.n, "partial": True,
+                        "spd": serialize_spd(TripleProjection(code, args.n))})
             for code in exc.partial
         ]
-        lines.append(json.dumps({"type": "resume", "n": cfg.n,
+        lines.append(json.dumps({"type": "resume", "n": args.n,
                                  "token": exc.resume_token}))
         _emit(out, "\n".join(lines))
-        if cfg.resume:
-            with open(cfg.resume, "w") as f:
-                json.dump({"n": cfg.n, "fold_mirror": cfg.fold_mirror,
+        if args.resume:
+            with open(args.resume, "w") as f:
+                json.dump({"n": args.n, "fold_mirror": args.fold_mirror,
                            "token": exc.resume_token,
                            "partial": [list(code) for code in exc.partial]}, f)
         return EXIT_PARTIAL
-    out = _open_out(cfg.out)
+    out = _open_out(args.out)
     lines = [
-        json.dumps({"type": "projection", "n": cfg.n, "spd": serialize_spd(p)})
+        json.dumps({"type": "projection", "n": args.n, "spd": serialize_spd(p)})
         for p in projections
     ]
-    lines.append(json.dumps({"type": "count", "n": cfg.n,
+    lines.append(json.dumps({"type": "count", "n": args.n,
                              "projections": len(projections)}))
     _emit(out, "\n".join(lines) if lines else "")
     return EXIT_OK
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(args: argparse.Namespace) -> int:
+    budget = _budget(args)
     try:
-        run = classify(cfg.n, cfg.budget())
+        run = classify(args.n, budget)
     except BudgetExceeded as exc:
         lines = _run_records(exc.run) + [json.dumps(
             {"type": "resume", "n": exc.n, "stage": exc.stage, "token": exc.resume_token})]
-        _emit(_open_out(cfg.out), "\n".join(lines))
+        _emit(_open_out(args.out), "\n".join(lines))
         return EXIT_PARTIAL
-    _emit(_open_out(cfg.out), "\n".join(_run_records(run)))
+    _emit(_open_out(args.out), "\n".join(_run_records(run)))
     return EXIT_OK
 
 
@@ -233,14 +224,14 @@ def _read_run(path: str) -> tuple[List[dict], List[KnotClass]]:
     return rows, classes
 
 
-def cmd_report(cfg: RunConfig, run_file: Optional[str]) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     """The report of a run file; with none, of an empty run."""
     refs = load_reference()
-    rows, classes = _read_run(run_file) if run_file is not None else ([], [])
+    rows, classes = _read_run(args.run_file) if args.run_file is not None else ([], [])
     for kc in classes:
         kc.name = identify(kc.fingerprint, refs)
     report = conjecture_report(classes, refs)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "rows": [
                 {"n": r["n"], "projections": r["projections"], "knots": r["knots"]}
@@ -248,18 +239,18 @@ def cmd_report(cfg: RunConfig, run_file: Optional[str]) -> int:
             ],
             "conjecture": json.loads(report.to_json()),
         }
-        _emit(_open_out(cfg.out), json.dumps(payload))
+        _emit(_open_out(args.out), json.dumps(payload))
     else:
-        _emit(_open_out(cfg.out), emit_table(classes, refs, cfg.fmt))
+        _emit(_open_out(args.out), emit_table(classes, refs, args.fmt))
     return EXIT_VIOLATION if report.violated else EXIT_OK
 
 
-def cmd_tikz(cfg: RunConfig, spd_file: str) -> int:
-    with open(spd_file) as f:
+def cmd_tikz(args: argparse.Namespace) -> int:
+    with open(args.spd_file) as f:
         obj = parse_spd(f.read())
     if not isinstance(obj, TripleDiagram):
         return _error("tikz needs a diagram (heights), not a bare projection")
-    _emit(_open_out(cfg.out), emit_tikz(obj))
+    _emit(_open_out(args.out), emit_tikz(obj))
     return EXIT_OK
 
 
@@ -274,14 +265,20 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
+    def budgeted(p: argparse.ArgumentParser) -> None:
+        # the options that _budget checks
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--budget-secs", type=float, default=None)
+        p.add_argument("--max-nodes", type=int, default=None)
+
     p_inv = sub.add_parser("invariants", help="invariants of one sPD diagram")
+    p_inv.set_defaults(run=cmd_invariants)
     p_inv.add_argument("spd_file")
     common(p_inv)
 
     p_enum = sub.add_parser("enumerate", help="enumerate projections")
-    p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--budget-secs", type=float, default=None)
-    p_enum.add_argument("--max-nodes", type=int, default=None)
+    p_enum.set_defaults(run=cmd_enumerate)
+    budgeted(p_enum)
     p_enum.add_argument("--fold-mirror", dest="fold_mirror",
                         action=argparse.BooleanOptionalAction, default=True)
     p_enum.add_argument("--resume", default=None,
@@ -289,12 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_enum)
 
     p_cls = sub.add_parser("classify", help="classify knots for n=2..N")
-    p_cls.add_argument("--n", type=int, required=True)
-    p_cls.add_argument("--budget-secs", type=float, default=None)
-    p_cls.add_argument("--max-nodes", type=int, default=None)
+    p_cls.set_defaults(run=cmd_classify)
+    budgeted(p_cls)
     common(p_cls)
 
     p_rep = sub.add_parser("report", help="count table and conjecture report")
+    p_rep.set_defaults(run=cmd_report)
     p_rep.add_argument("run_file", nargs="?", default=None,
                        help="JSONL artifact from classify")
     p_rep.add_argument("--format", dest="fmt", default="json",
@@ -302,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_rep)
 
     p_tikz = sub.add_parser("tikz", help="TikZ picture of one sPD diagram")
+    p_tikz.set_defaults(run=cmd_tikz)
     p_tikz.add_argument("spd_file")
     common(p_tikz)
     return parser
@@ -309,26 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        n=getattr(args, "n", 4),
-        budget_secs=getattr(args, "budget_secs", None),
-        max_nodes=getattr(args, "max_nodes", None),
-        fold_mirror=getattr(args, "fold_mirror", True),
-        fmt=getattr(args, "fmt", "json"),
-        out=args.out,
-        resume=getattr(args, "resume", None),
-    )
     try:
-        cfg.validate()
-        if args.command == "invariants":
-            return cmd_invariants(cfg, args.spd_file)
-        if args.command == "enumerate":
-            return cmd_enumerate(cfg)
-        if args.command == "classify":
-            return cmd_classify(cfg)
-        if args.command == "report":
-            return cmd_report(cfg, args.run_file)
-        return cmd_tikz(cfg, args.spd_file)  # the subparsers allow no other command
+        return args.run(args)
     except (DiagramError, OSError, json.JSONDecodeError) as exc:
         return _error(str(exc))
 

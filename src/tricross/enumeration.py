@@ -405,7 +405,6 @@ def fold_kauffman(f: Laurent2) -> str:
 class ClassifyRun:
     max_n: int
     projections_per_n: Dict[int, int] = field(default_factory=dict)
-    new_knots_per_n: Dict[int, int] = field(default_factory=dict)
     kauffman_evals_per_n: Dict[int, int] = field(default_factory=dict)
     classes: Dict[ClassKey, KnotClass] = field(default_factory=dict)
 
@@ -481,7 +480,6 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
             run.projections_per_n[n] = len(projections)
             older_pairs = {key[:2] for key in run.classes}
             folded_f: Dict[Tuple, str] = {}
-            new_here = 0
             for p in projections:
                 if deadline is not None and time.monotonic() > deadline:
                     raise BudgetExceeded("time budget exhausted", [], None, n, "classify")
@@ -499,8 +497,6 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
                             witness_spd=serialize_spd(_diagram_from_code(code, n)),
                             kauffman_folded=key[2],
                         )
-                        new_here += 1
-            run.new_knots_per_n[n] = new_here
             run.kauffman_evals_per_n[n] = len(folded_f)
     except BudgetExceeded as exc:
         # keep what the n's before the stop found
@@ -564,6 +560,6 @@ def count_table(run: ClassifyRun) -> List[Tuple[int, int, int]]:
     flagged ``composite`` (their per-class records carry the flag): 2, 2, 27
     for n = 2..4, of which 0, 0, 3 are flagged."""
     return [
-        (n, run.projections_per_n.get(n, 0), run.new_knots_per_n.get(n, 0))
+        (n, run.projections_per_n[n], sum(kc.c3 == n for kc in run.classes.values()))
         for n in sorted(run.projections_per_n)
     ]

@@ -5,21 +5,24 @@ split union multiplies by ``delta = (a - a^-1) / z`` per extra component.
 The recursion (:mod:`tricross.skein`) walks the oriented diagram component by
 component, switches the first crossing whose first visit is on the
 under-strand, and smooths it along the orientation; a diagram with no such
-crossing is descending and therefore an unlink.  Every state is first reduced
-by Reidemeister I and same-level II moves, which leave HOMFLY unchanged, so
-the engine's kink writhe is ignored.
+crossing is descending and therefore an unlink.  The oriented smoothing joins
+each incoming dart to the outgoing dart beside it: the slot parity ``p = 1``
+of :func:`tricross.skein.smooth` where the shadow's sign (before any switch)
+is +1, and ``p = 0`` where it is -1.  Every state is first reduced by
+Reidemeister I and same-level II moves, which leave HOMFLY unchanged, so the
+engine's kink writhe is ignored.
 
 Work is bounded by an explicit budget on skein-tree nodes; exceeding it (or
-starting from a diagram above ``max_crossings``) raises ``BudgetError``.
+starting from a diagram of more than 16 crossings) raises ``BudgetError``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet
+from typing import FrozenSet
 
 from .laurent import Laurent2
-from .maps import DiagramError, DoubleDiagram, InternalConsistencyError, d_opposite
-from .skein import BudgetError, Engine, first_bad_crossing, smooth
+from .maps import DiagramError, DoubleDiagram, InternalConsistencyError
+from .skein import BudgetError, Engine, first_bad_crossing
 
 DELTA = Laurent2({(1, -1): 1, (-1, -1): -1})  # (a - a^-1) / z
 
@@ -28,14 +31,7 @@ _AZ = Laurent2({(1, 1): 1})
 _INV_A2 = Laurent2({(-2, 0): 1})
 _INV_AZ = Laurent2({(-1, 1): 1})
 
-
-def _through_pairs(c: int, tails: FrozenSet[int]) -> Dict[int, int]:
-    """Dart-to-dart passthrough at crossing ``c`` after oriented smoothing."""
-    u_out = 4 * c + (0 if 4 * c in tails else 2)
-    o_out = 4 * c + (1 if 4 * c + 1 in tails else 3)
-    u_in = d_opposite(u_out)
-    o_in = d_opposite(o_out)
-    return {u_in: o_out, o_out: u_in, o_in: u_out, u_out: o_in}
+_MAX_CROSSINGS = 16
 
 
 class _Homfly(Engine):
@@ -46,10 +42,10 @@ class _Homfly(Engine):
         bad = first_bad_crossing(dd, tails, flips)
         if bad is None:
             return DELTA ** (len(dd.walks(tails)) - 1)
-        sign = dd.crossing_sign(bad, tails) * (-1 if bad in flips else 1)
+        shadow_sign = dd.crossing_sign(bad, tails)
+        sign = -shadow_sign if bad in flips else shadow_sign
         p_switch = self.eval(dd, tails, flips ^ {bad})
-        p_smooth = self.eval_smoothed(*smooth(dd, tails, flips, bad,
-                                              _through_pairs(bad, tails)))
+        p_smooth = self.smoothed(dd, tails, flips, bad, 1 if shadow_sign > 0 else 0)
         if sign > 0:
             # P(L+) = a^-2 P(L-) + a^-1 z P(L0)
             return _INV_A2 * p_switch + _INV_AZ * p_smooth
@@ -60,13 +56,12 @@ class _Homfly(Engine):
 def homfly(
     dd: DoubleDiagram,
     tails: FrozenSet[int] | None = None,
-    max_crossings: int = 16,
     max_nodes: int = 400_000,
 ) -> Laurent2:
     """HOMFLY polynomial of an oriented link diagram."""
-    if dd.n > max_crossings:
+    if dd.n > _MAX_CROSSINGS:
         raise BudgetError(
-            f"diagram has {dd.n} crossings, above the limit of {max_crossings}"
+            f"diagram has {dd.n} crossings, above the limit of {_MAX_CROSSINGS}"
         )
     walks = dd.walks()
     if tails is None:

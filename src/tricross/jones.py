@@ -214,15 +214,15 @@ def _bracket_to_half_laurent(bracket: Dict[int, int], writhe: int) -> HalfLauren
     return HalfLaurent(out)
 
 
-def bracket_jones(dd: DoubleDiagram, tails: FrozenSet[int] | None = None) -> HalfLaurent:
+def bracket_jones(dd: DoubleDiagram) -> HalfLaurent:
     """Jones polynomial of a knot diagram via the bracket oracle: the
     contracted :func:`kauffman_bracket`, times (-A)^(-3w), at A = t^(-1/4).
     Independent of the triple-crossing relation."""
     if dd.n == 0:
         return HalfLaurent.one()
-    if tails is None:
-        tails = dd.orientations()[0]
-    return _bracket_to_half_laurent(kauffman_bracket(dd), dd.writhe(tails))
+    # orientations() refuses a link: the writhe of a knot is orientation-free
+    w = dd.writhe(dd.orientations()[0])
+    return _bracket_to_half_laurent(kauffman_bracket(dd), w)
 
 
 # ---------------------------------------------------------------------------

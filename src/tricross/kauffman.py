@@ -15,28 +15,21 @@ walked from its smallest dart.  Every state is first reduced: a kink of sign
 diagram whose every crossing is first reached on its over-strand is a stack
 of curled unknots; its Lambda is ``delta^(k-1)`` times ``a`` to the sum of
 self-writhes.  Otherwise the first offending crossing is switched (toward
-descending) and smoothed both ways.
+descending) and smoothed both ways: its two smoothings are the slot parities
+``p = 0`` and ``p = 1`` of :func:`tricross.skein.smooth`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from .laurent import Laurent2
 from .maps import DoubleDiagram
-from .skein import Darts, Engine, Flips, first_bad_crossing, smooth
+from .skein import Darts, Engine, Flips, first_bad_crossing
 
 DELTA_K = Laurent2({(1, -1): 1, (-1, -1): 1, (0, 0): -1})  # (a + a^-1)/z - 1
 
 _Z = Laurent2({(0, 1): 1})
-
-
-def _smoothings(c: int) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """The two unoriented smoothings of crossing ``c``: slots (0,1) and (2,3)
-    joined, and slots (1,2) and (3,0) joined."""
-    b = 4 * c
-    return ({b: b + 1, b + 1: b, b + 2: b + 3, b + 3: b + 2},
-            {b + 1: b + 2, b + 2: b + 1, b + 3: b, b: b + 3})
 
 
 def _self_writhe(dd: DoubleDiagram, flips: Flips) -> int:
@@ -66,8 +59,8 @@ class _Kauffman(Engine):
         if bad is None:
             k = len(dd.walks())
             return (DELTA_K ** (k - 1)).scale(1, _self_writhe(dd, flips), 0)
-        s0, s1 = (self.eval_smoothed(*smooth(dd, tails, flips, bad, through))
-                  for through in _smoothings(bad))
+        s0 = self.smoothed(dd, tails, flips, bad, 0)
+        s1 = self.smoothed(dd, tails, flips, bad, 1)
         switched = self.eval(dd, tails, flips ^ {bad})
         return _Z * (s0 + s1) - switched
 

@@ -329,10 +329,6 @@ def d_sigma(d: int) -> int:
     return 4 * (d // 4) + (d % 4 + 1) % 4
 
 
-def d_opposite(d: int) -> int:
-    return 4 * (d // 4) + (d % 4 + 2) % 4
-
-
 class DoubleDiagram(_Map):
     """Classical diagram: 4-valent map, under-strand at slots 0 and 2."""
 

@@ -56,15 +56,16 @@ def _is_monogon_anchor(p: TripleProjection, c: int, s: int) -> bool:
     return p.alpha[6 * c + s] == 6 * c + (s + 1) % 6
 
 
-def _bigon_anchors(p: TripleProjection) -> List[tuple]:
-    """(crossing, slot) anchors of bigon faces between distinct crossings."""
-    out = []
-    for face in p.faces():
-        if len(face) == 2 and face[0] // 6 != face[1] // 6:
-            d, e = face
-            out.append((d // 6, p.alpha[e] % 6))
-            out.append((e // 6, p.alpha[d] % 6))
-    return out
+def _is_bigon_anchor(p: TripleProjection, c: int, s: int) -> bool:
+    """Slots ``s, s+1`` of ``c`` bound a bigon with another crossing: the
+    darts they are paired with lie on one crossing other than ``c``, the
+    first one slot counterclockwise after the second."""
+    u = p.alpha[6 * c + s]
+    v = p.alpha[6 * c + (s + 1) % 6]
+    return u // 6 != c and u == 6 * (v // 6) + (v + 1) % 6
+
+
+_ANCHORS = {M1: (_is_monogon_anchor, "monogon"), M2: (_is_bigon_anchor, "bigon")}
 
 
 def _slide_projection(p: TripleProjection, c: int, s: int) -> Optional[TripleProjection]:
@@ -79,27 +80,19 @@ def _slide_projection(p: TripleProjection, c: int, s: int) -> Optional[TriplePro
 
 def find_m_sites(p: TripleProjection) -> List[MoveSite]:
     """All applicable M1 and M2 sites of a projection."""
-    sites = []
-    for c in range(p.n):
-        for s in range(6):
-            if _is_monogon_anchor(p, c, s):
-                if _slide_projection(p, c, s) is not None:
-                    sites.append(MoveSite(M1, c, s))
-    for c, s in _bigon_anchors(p):
-        if _slide_projection(p, c, s) is not None:
-            sites.append(MoveSite(M2, c, s))
-    return sites
+    return [MoveSite(kind, c, s)
+            for kind, (is_anchor, _) in _ANCHORS.items()
+            for c in range(p.n) for s in range(6)
+            if is_anchor(p, c, s) and _slide_projection(p, c, s) is not None]
 
 
 def apply_m(p: TripleProjection, site: MoveSite) -> TripleProjection:
-    if site.kind not in (M1, M2):
+    if site.kind not in _ANCHORS:
         raise DiagramError(f"apply_m expects an M1/M2 site, got {site.kind!r}")
-    if site.kind == M1:
-        if not _is_monogon_anchor(p, site.crossing, site.slot):
-            raise StaleSiteError("no monogon at the referenced anchor")
-    else:
-        if (site.crossing, site.slot) not in _bigon_anchors(p):
-            raise StaleSiteError("no bigon at the referenced anchor")
+    is_anchor, face = _ANCHORS[site.kind]
+    if not (0 <= site.crossing < p.n and 0 <= site.slot < 6
+            and is_anchor(p, site.crossing, site.slot)):
+        raise StaleSiteError(f"no {face} at the referenced anchor")
     q = _slide_projection(p, site.crossing, site.slot)
     if q is None:
         raise StaleSiteError("slide at the referenced anchor is not applicable")

@@ -69,7 +69,7 @@ def wirtinger_relations(dd: DoubleDiagram) -> Tuple[List[Tuple[int, int, int, in
     a link raises :class:`DiagramError`."""
     if dd.n == 0:
         return [], 0
-    rels = _wirtinger(dd, dd.orientations()[0])
+    rels = _wirtinger(dd)
     return rels, 1 + max(max(r[:3]) for r in rels)
 
 

@@ -25,6 +25,11 @@ recursion nodes; exceeding it raises ``BudgetError``.  A subclass supplies
 ``delta``, the factor of a kink writhe and the skein rule for a connected
 diagram.
 
+A smoothing is named by its crossing ``c`` and a slot parity ``p``: slots
+``p, p+1`` and ``p+2, p+3`` (mod 4) of ``c`` are joined, so every crossing
+has the two smoothings ``p = 0`` and ``p = 1``.  Removing a kink or a bigon
+edge, and the Kauffman and HOMFLY expansions, each pick one of them.
+
 The module keeps no traversal of its own: the strand walks
 (:meth:`DoubleDiagram.walks`) and the parts of the crossing graph
 (:meth:`DoubleDiagram.crossing_components`) come from the shared map class,
@@ -36,7 +41,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .laurent import Laurent2
-from .maps import DoubleDiagram, d_opposite, d_sigma
+from .maps import DoubleDiagram, d_sigma
 
 Darts = FrozenSet[int]
 Flips = FrozenSet[int]
@@ -80,43 +85,45 @@ def _renumber(
 
 
 def smooth(
-    dd: DoubleDiagram, tails: Darts, flips: Flips, c: int, through: Dict[int, int]
+    dd: DoubleDiagram, tails: Darts, flips: Flips, c: int, p: int
 ) -> Tuple[DoubleDiagram, Darts, Flips, int]:
-    """Drop crossing ``c``, joining its four darts in the pairs ``through``.
+    """Drop crossing ``c`` by its smoothing of parity ``p``: slots ``p, p+1``
+    and ``p+2, p+3`` (mod 4) are joined.
 
     Returns the smaller diagram with its tails and flips relabelled, and the
     number of circles freed (those that run only through ``c``).
     """
     alpha = list(dd.alpha)
+    darts = range(4 * c, 4 * c + 4)
+
+    def through(d: int) -> int:
+        # the dart of c joined to d: slots p + 2k and p + 2k + 1 pair up
+        return 4 * c + (((d + p) ^ 1) - p) % 4
+
     seen = set()
-    for d in through:
+    for d in darts:
         e = dd.alpha[d]
         if e // 4 == c:
             continue
         # the strand that enters c at d runs through c until it leaves
         while d // 4 == c:
             seen.add(d)
-            seen.add(through[d])
-            d = dd.alpha[through[d]]
+            d = through(d)
+            seen.add(d)
+            d = dd.alpha[d]
         alpha[e] = d
     # the darts of c that no strand reached close into circles
     loops = 0
-    for d in through:
+    for d in darts:
         if d not in seen:
             loops += 1
             while d not in seen:
                 seen.add(d)
-                seen.add(through[d])
-                d = dd.alpha[through[d]]
+                d = through(d)
+                seen.add(d)
+                d = dd.alpha[d]
     crossings = [k for k in range(dd.n) if k != c]
     return (*_renumber(alpha, tails, flips, crossings), loops)
-
-
-def _uncross(x: int, y: int) -> Dict[int, int]:
-    """The passthrough that drops a crossing where darts ``x`` and ``y``
-    bound one face: each joins the dart opposite the other."""
-    ox, oy = d_opposite(x), d_opposite(y)
-    return {x: oy, oy: x, y: ox, ox: y}
 
 
 def _over(d: int, flips: Flips) -> bool:
@@ -125,25 +132,29 @@ def _over(d: int, flips: Flips) -> bool:
 
 def _next_move(dd: DoubleDiagram, flips: Flips) -> Optional[Tuple[int, List]]:
     """The first kink, else the first same-level bigon, as its kink writhe
-    and the ``(crossing, passthrough)`` steps that remove it; None if the
-    diagram has neither."""
+    and the ``(crossing, parity)`` steps that remove it; None if the diagram
+    has neither.
+
+    An edge of the face is cut at its darts ``y`` and ``x = d_sigma(y)`` of
+    one crossing: the smoothing joins ``x`` to ``x + 1`` and ``y`` to
+    ``x + 2``, the parity ``x % 2``."""
     alpha = dd.alpha
     for d in range(4 * dd.n):
         e = alpha[d]
         if d_sigma(e) == d:
             # a monogon face: the strand leaves at e and comes back in at d;
             # its sign, orientation-free, is +1 when it comes back in under
-            return (-1 if _over(d, flips) else 1), [(d // 4, _uncross(d, e))]
+            return (-1 if _over(d, flips) else 1), [(d // 4, d % 2)]
     for d in range(4 * dd.n):
         e = alpha[d]
         f = d_sigma(e)
         g = alpha[f]
         if d_sigma(g) == d and d // 4 != e // 4 and _over(d, flips) == _over(e, flips):
             # a bigon face with edges d-e and f-g, not a clasp: the strand on
-            # d-e is over (or under) at both of its crossings
-            steps = [(d // 4, _uncross(d, g)), (e // 4, _uncross(e, f))]
-            # drop the higher crossing first so the other keeps its labels
-            return 0, sorted(steps, key=lambda step: -step[0])
+            # d-e is over (or under) at both of its crossings; drop the higher
+            # crossing first so the other keeps its labels
+            steps = [(d // 4, d % 2), (e // 4, f % 2)]
+            return 0, sorted(steps, reverse=True)
     return None
 
 
@@ -163,8 +174,8 @@ def reduce(
     while move is not None:
         sign, steps = move
         kinks += sign
-        for c, through in steps:
-            dd, tails, flips, freed = smooth(dd, tails, flips, c, through)
+        for c, p in steps:
+            dd, tails, flips, freed = smooth(dd, tails, flips, c, p)
             loops += freed
         move = _next_move(dd, flips)
     return dd, tails, flips, kinks, loops
@@ -215,10 +226,12 @@ class Engine:
         extra = loops if n else loops - 1
         return value * self.delta**extra if extra else value
 
-    def eval_smoothed(
-        self, smoothed: DoubleDiagram, tails: Darts, flips: Flips, loops: int
+    def smoothed(
+        self, dd: DoubleDiagram, tails: Darts, flips: Flips, c: int, p: int
     ) -> Laurent2:
-        return self._with_circles(self.eval(smoothed, tails, flips), smoothed.n, loops)
+        """The value of ``dd`` with crossing ``c`` smoothed at parity ``p``."""
+        dd, tails, flips, loops = smooth(dd, tails, flips, c, p)
+        return self._with_circles(self.eval(dd, tails, flips), dd.n, loops)
 
     def kinked(self, value: Laurent2, kinks: int) -> Laurent2:
         """``value`` times the factor of a removed kink writhe; HOMFLY is an

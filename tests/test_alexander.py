@@ -10,6 +10,7 @@ from tricross import (
     IntLaurent,
     TripleDiagram,
     alexander,
+    bracket_jones,
     convert_to_double,
     homfly,
     parse_spd,
@@ -19,6 +20,7 @@ from tricross.alexander import _balanced_digits, _int_det, _normalize, _wirtinge
 from tricross.canon import canonical_diagram_code
 from tricross.enumeration import HEIGHT_WORDS, enumerate_projections
 from tricross.laurent import HalfLaurent, Laurent2
+from tricross.quotients import wirtinger_relations
 from conftest import (
     PD_FIG8, PD_KINK, PD_TREFOIL, T2_1, T2_2, W_41_41_SPLIT, W_51_SPLIT, W_SQUARE)
 
@@ -30,6 +32,12 @@ def test_known_values():
     assert alexander(DoubleDiagram.from_pd(PD_TREFOIL)) == D_TREFOIL
     assert alexander(DoubleDiagram.from_pd(PD_FIG8)) == D_FIG8
     assert alexander(DoubleDiagram.from_pd(PD_KINK)) == IntLaurent.from_int_coeffs({0: 1})
+
+
+@pytest.mark.parametrize("knot_invariant", [alexander, bracket_jones, wirtinger_relations])
+def test_knot_invariants_refuse_the_hopf_link(knot_invariant):
+    with pytest.raises(DiagramError):
+        knot_invariant(DoubleDiagram.from_pd(rational_knot_pd((2,))))
 
 
 def test_fixture_diagrams_via_conversion():

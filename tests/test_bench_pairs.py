@@ -29,7 +29,8 @@ def _read(name):
 @pytest.mark.parametrize("name", ["BENCH_skein_on_map.json", "BENCH_canon_frames.json",
                                   "BENCH_tangle_table.json", "BENCH_pair_transform.json",
                                   "BENCH_orderly_compare.json", "BENCH_open_face_bound.json",
-                                  "BENCH_search_recursion.json", "BENCH_laurent_core.json"])
+                                  "BENCH_search_recursion.json", "BENCH_laurent_core.json",
+                                  "BENCH_local_surgery.json"])
 def test_summarise_reproduces_the_committed_blocks(name):
     bench_pairs = _load_bench_pairs()
     spec = _read("BENCHMARK.json")

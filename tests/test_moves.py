@@ -3,6 +3,7 @@ import pytest
 from tricross import (
     M1,
     M2,
+    MoveSite,
     StaleSiteError,
     alexander,
     apply_jr,
@@ -16,7 +17,36 @@ from tricross import (
     jones_triple,
     parse_spd,
 )
+from tricross.enumeration import enumerate_raw_shadows
+from tricross.moves import _slide_projection
 from conftest import T2_1, T2_2
+
+
+def _face_anchors(p):
+    """The reference rule: M1 anchors from monogon faces, M2 anchors from
+    2-faces between distinct crossings.  A face's dart ``d`` after ``prev``
+    sits in the sector of slots ``alpha[prev], d`` of its crossing."""
+    sites = set()
+    for face in p.faces():
+        if len(face) == 1 or (len(face) == 2 and face[0] // 6 != face[1] // 6):
+            kind = M1 if len(face) == 1 else M2
+            for prev, d in zip(face[-1:] + face[:-1], face):
+                sites.add(MoveSite(kind, d // 6, p.alpha[prev] % 6))
+    return sites
+
+
+@pytest.mark.parametrize("fold_mirror", [True, False])
+def test_m_sites_are_the_face_anchors(fold_mirror):
+    anchors = 0
+    for n in (1, 2, 3):
+        for p in enumerate_raw_shadows(n, fold_mirror=fold_mirror):
+            expected = {site for site in _face_anchors(p)
+                        if _slide_projection(p, site.crossing, site.slot) is not None}
+            sites = find_m_sites(p)
+            assert len(sites) == len(set(sites))
+            assert set(sites) == expected
+            anchors += len(sites)
+    assert anchors > 0
 
 
 def test_m_sites_exist_on_two_crossing_projection():
@@ -42,6 +72,14 @@ def test_m_move_stale_site_rejected():
     site = find_m_sites(p2)[0]
     with pytest.raises(StaleSiteError):
         apply_m(p3, site)
+
+
+@pytest.mark.parametrize("kind", [M1, M2])
+@pytest.mark.parametrize("crossing,slot", [(2, 0), (-1, 0), (0, 6), (0, -1)])
+def test_m_move_site_out_of_range_is_stale(kind, crossing, slot):
+    p = parse_spd(T2_1).projection
+    with pytest.raises(StaleSiteError):
+        apply_m(p, MoveSite(kind, crossing, slot))
 
 
 def test_jr_moves_preserve_invariants_on_two_crossing_diagrams():
