@@ -30,7 +30,7 @@ from .jones import jones_triple
 from .laurent import IntLaurent, breadth, is_monic
 from .maps import DiagramError, TripleDiagram, TripleProjection
 from .spd import parse_spd, serialize_spd
-from .tables import conjecture_report, emit_table, emit_tikz, identify, load_reference
+from .tables import conjecture_report, emit_table, emit_tikz, load_reference
 from .tangle import convert_to_double
 
 EXIT_OK = 0
@@ -228,8 +228,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     """The report of a run file; with none, of an empty run."""
     refs = load_reference()
     rows, classes = _read_run(args.run_file) if args.run_file is not None else ([], [])
-    for kc in classes:
-        kc.name = identify(kc.fingerprint, refs)
     report = conjecture_report(classes, refs)
     if args.fmt == "json":
         payload = {

@@ -99,7 +99,6 @@ def enumerate_raw_shadows(
     n: int,
     budget: Optional[Budget] = None,
     resume_token: Optional[str] = None,
-    collected: Optional[list] = None,
     fold_mirror: bool = True,
 ) -> Iterator[TripleProjection]:
     """Yield connected spherical one-curve shadows with ``n`` triple points,
@@ -125,8 +124,6 @@ def enumerate_raw_shadows(
         return
     N = 6 * n
     alpha = [-1] * N
-    touched = [False] * n
-    touched[0] = True
     sigma = [(d - d % 6) + (d % 6 + 1) % 6 for d in range(N)]
 
     # Open-walk tables, kept for the unpaired darts.  A face walk of the
@@ -226,14 +223,15 @@ def enumerate_raw_shadows(
             return
         # the token ends with the pairing not yet tried, where a resumed
         # search picks up
-        raise BudgetExceeded(message, collected if collected is not None else [],
-                             _make_token(path + [e], n, fold_mirror), n, "search")
+        raise BudgetExceeded(message, [], _make_token(path + [e], n, fold_mirror),
+                             n, "search")
 
-    def search(d: int, rivals: list, rem: int, to_close: int,
-               open_faces: int) -> Iterator[TripleProjection]:
+    def search(d: int, rivals: list, rem: int, to_close: int, open_faces: int,
+               k: int) -> Iterator[TripleProjection]:
         """Pair the first unpaired dart d in every way the checks allow and
         search on below each pairing; ``rem`` pairings are left after it,
-        ``to_close`` faces still to close and ``open_faces`` open."""
+        ``to_close`` faces still to close, ``open_faces`` open, and the
+        crossings reached so far are ``0 .. k-1``."""
         nonlocal nodes
         if to_close - 2 * rem == 2:
             # every pairing left must close two faces: d's only partner is
@@ -241,9 +239,9 @@ def enumerate_raw_shadows(
             a = end[d]
             cands = [a] if a != d and end[a] == d else []
         else:
-            cands = [e for e in range(d + 1, N) if alpha[e] < 0 and touched[e // 6]]
-            if not all(touched):
-                cands.append(6 * touched.index(False))
+            cands = [e for e in range(d + 1, 6 * k) if alpha[e] < 0]
+            if k < n:
+                cands.append(6 * k)  # the next crossing, entered at slot 0
         for e in cands:
             if replay:
                 # the recorded pairing is popped when it is committed; a
@@ -277,24 +275,21 @@ def enumerate_raw_shadows(
                 # the two face checks above left exactly 2n + 2 faces
                 yield TripleProjection(list(alpha), n)
             elif tied is not None:
-                fresh = not touched[e // 6]
-                touched[e // 6] = True
                 join(d, e)
                 path.append(e)
                 if replay:
                     replay.pop(0)
-                yield from search(nd, tied, rem - 1, to_close - delta, open_after)
+                yield from search(nd, tied, rem - 1, to_close - delta, open_after,
+                                  k + (e == 6 * k))
                 # a replay still pending was rejected or skipped below this
                 # pairing; the rest of the candidates here run in full
                 replay.clear()
                 path.pop()
                 unjoin(d, e)
-                if fresh:
-                    touched[e // 6] = False
             alpha[d] = -1
             alpha[e] = -1
 
-    yield from search(0, rivals, 3 * n - 1, 2 * n + 2, n)
+    yield from search(0, rivals, 3 * n - 1, 2 * n + 2, n, 1)
 
 
 def enumerate_projections(
@@ -312,16 +307,20 @@ def enumerate_projections(
             p = TripleProjection(list(code), n)
             seen[canonical_projection_code(p, fold_mirror)] = p
     collected: List[Tuple[int, ...]] = list(partial_codes or [])
-    for p in enumerate_raw_shadows(n, budget, resume_token, collected, fold_mirror):
-        if not p.is_prime():
-            continue
-        code = canonical_projection_code(p, fold_mirror)
-        if code != tuple(p.alpha):
-            raise InternalConsistencyError(
-                f"the search yielded a shadow that is not in canonical form at n = {n}")
-        if code not in seen:
-            seen[code] = p
-            collected.append(code)
+    try:
+        for p in enumerate_raw_shadows(n, budget, resume_token, fold_mirror):
+            if not p.is_prime():
+                continue
+            code = canonical_projection_code(p, fold_mirror)
+            if code != tuple(p.alpha):
+                raise InternalConsistencyError(
+                    f"the search yielded a shadow that is not in canonical form at n = {n}")
+            if code not in seen:
+                seen[code] = p
+                collected.append(code)
+    except BudgetExceeded as exc:
+        exc.partial = collected
+        raise
     return _m_orbit_representatives(seen, fold_mirror)
 
 
@@ -357,18 +356,12 @@ def _diagram_codes(p: TripleProjection) -> Dict[Tuple[str, ...], Tuple]:
             for words in itertools.product(HEIGHT_WORDS, repeat=p.n)}
 
 
-def _first_words(codes: Dict[Tuple[str, ...], Tuple]) -> Dict[Tuple, Tuple[str, ...]]:
-    """Each distinct code with the first height words that have it."""
-    first: Dict[Tuple, Tuple[str, ...]] = {}
-    for words, code in codes.items():
-        first.setdefault(code, words)
-    return first
-
-
 def enumerate_diagrams(p: TripleProjection) -> List[TripleDiagram]:
     """All height assignments on a knot projection, deduplicated up to
     relabeling (mirror images kept distinct)."""
-    first = _first_words(_diagram_codes(p))
+    first: Dict[Tuple, Tuple[str, ...]] = {}
+    for words, code in _diagram_codes(p).items():
+        first.setdefault(code, words)
     return [TripleDiagram(p, first[code]) for code in sorted(first)]
 
 
@@ -381,7 +374,6 @@ class KnotClass:
     alexander: str
     c3: int
     witness_spd: str
-    name: Optional[str] = None
     composite: bool = False
     kauffman_folded: Optional[str] = None
 
@@ -410,26 +402,25 @@ class ClassifyRun:
 
 
 def _project_classes(p: TripleProjection, n: int) -> Iterator[tuple]:
-    """(folded Jones, Alexander), unfolded code, mirror-folded code and
-    deconstruction of every distinct diagram on one projection, one at a
-    time.  A diagram's mirror views are its T <-> B swap's own views, so
-    its folded code is the smaller of the two unfolded codes.
+    """(folded Jones, Alexander), unfolded code and deconstruction of each
+    mirror class of diagrams on one projection, one class at a time, read
+    off the class's first member in height-word order.
 
-    The normalised Alexander polynomial is mirror-invariant, so a mirror
-    class is deconstructed and its Alexander computed once, at its first
-    member; the deconstruction is None for the member after it."""
+    A diagram's mirror views are its T <-> B swap's own views, so a mirror
+    class holds the diagrams of one unfolded code and of its swap's code.
+    Folded Jones and the normalised Alexander polynomial are
+    mirror-invariant, so both run once per class."""
     codes = _diagram_codes(p)
-    first = _first_words(codes)
-    words_list = list(first.values())
-    alex: Dict[Tuple, str] = {}
-    for words, v in zip(words_list, jones_triple_batch(p, words_list)):
-        code = codes[words]
-        mirror_class = min(code, codes[tuple(w.translate(_RANK_REVERSE) for w in words)])
-        dd = None
-        if mirror_class not in alex:
-            dd = convert_to_double(TripleDiagram(p, words))
-            alex[mirror_class] = str(alexander(dd))
-        yield (fold_jones(v), alex[mirror_class]), code, mirror_class, dd
+    seen = set()
+    firsts = []
+    for words, code in codes.items():
+        if code not in seen:
+            seen.update((code, codes[tuple(w.translate(_RANK_REVERSE) for w in words)]))
+            firsts.append((words, code))
+    jones = jones_triple_batch(p, [words for words, _ in firsts])
+    for (words, code), v in zip(firsts, jones):
+        dd = convert_to_double(TripleDiagram(p, words))
+        yield (fold_jones(v), str(alexander(dd))), code, dd
 
 
 def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
@@ -441,19 +432,17 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
     knots: at n = 4 the 5_1 key and the 4_1 # 4_1 key each hold two classes
     that only F tells apart, giving 27 classes at c3 = 4 (24 unflagged).
 
-    F is computed only for diagrams whose (Jones, Alexander) pair is first
-    realized at the current n: 497 of the 4,967 nontrivial diagrams at
-    n = 4.  A diagram whose pair was already realized at a smaller n joins
-    that pair's classes unrefined, so a second knot hiding behind an older
-    pair is not detected; at n = 4 a sweep of F over all 4,967 finds none
-    (``test_census_n4_kauffman_sweep_of_every_diagram``).
-    A diagram and its mirror image have the same (Jones, Alexander) pair
-    and the same folded F (F's mirror is a -> 1/a), so the deconstruction,
-    Alexander and F each run once per class of
-    ``canonical_diagram_code(d, fold_mirror=True)``, on the class's first
-    diagram, and are reused for the rest: 177 deconstructions for the 351
-    distinct diagrams at n <= 3, and 257 F evaluations for the 497
-    diagrams at n = 4, counted in ``kauffman_evals_per_n``.
+    A diagram and its mirror image have the same folded Jones, Alexander
+    and folded F (F's mirror is a -> 1/a), so the census reads one record
+    per mirror class from ``_project_classes``: Jones, the deconstruction
+    and Alexander run 177 times for the 351 distinct diagrams at n <= 3.
+    F runs on each record whose (Jones, Alexander) pair is first realized
+    at the current n: 257 evaluations at n = 4, for 497 of the 4,967
+    nontrivial diagrams, counted in ``kauffman_evals_per_n`` once the n
+    finishes.  A diagram whose pair was already realized at a smaller n
+    joins that pair's classes unrefined, so a second knot hiding behind an
+    older pair is not detected; at n = 4 a sweep of F over all 4,967 finds
+    none (``test_census_n4_kauffman_sweep_of_every_diagram``).
 
     Classes whose invariants factor as a product over smaller classes are
     flagged ``composite`` but stay in the census — flagged, never dropped.
@@ -479,16 +468,15 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
             projections = enumerate_projections(n, budget=search_budget)
             run.projections_per_n[n] = len(projections)
             older_pairs = {key[:2] for key in run.classes}
-            folded_f: Dict[Tuple, str] = {}
+            evals = 0
             for p in projections:
                 if deadline is not None and time.monotonic() > deadline:
                     raise BudgetExceeded("time budget exhausted", [], None, n, "classify")
-                for pair, code, mirror_class, dd in _project_classes(p, n):
+                for pair, code, dd in _project_classes(p, n):
                     if pair == unknot_pair or pair in older_pairs:
                         continue
-                    if mirror_class not in folded_f:
-                        folded_f[mirror_class] = fold_kauffman(kauffman_f(dd))
-                    key = pair + (folded_f[mirror_class],)
+                    key = pair + (fold_kauffman(kauffman_f(dd)),)
+                    evals += 1
                     if key not in run.classes:
                         run.classes[key] = KnotClass(
                             jones_folded=key[0],
@@ -497,7 +485,7 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
                             witness_spd=serialize_spd(_diagram_from_code(code, n)),
                             kauffman_folded=key[2],
                         )
-            run.kauffman_evals_per_n[n] = len(folded_f)
+            run.kauffman_evals_per_n[n] = evals
     except BudgetExceeded as exc:
         # keep what the n's before the stop found
         run.projections_per_n.pop(exc.n, None)

@@ -119,18 +119,13 @@ def find_jr_sites(d: TripleDiagram) -> List[MoveSite]:
 
 
 def _apply_jr_kind(d: TripleDiagram, site: MoveSite, level: str) -> TripleDiagram:
-    p = d.projection
-    if not _is_monogon_anchor(p, site.crossing, site.slot):
-        raise StaleSiteError("no monogon at the referenced anchor")
+    q = apply_m(d.projection, MoveSite(M1, site.crossing, site.slot))
     if d.heights[site.crossing][(site.slot + 2) % 3] != level:
         raise StaleSiteError(
             "height side condition violated: sliding arc is not the "
             + ("top" if level == "T" else "bottom")
             + " strand"
         )
-    q = _slide_projection(p, site.crossing, site.slot)
-    if q is None:
-        raise StaleSiteError("slide at the referenced anchor is not applicable")
     out = TripleDiagram(q, list(d.heights))
     out.validate()
     return out

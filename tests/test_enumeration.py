@@ -288,6 +288,7 @@ def test_classify_budget_is_one_deadline(projection_clock, wall_secs, stage):
     # the stop keeps the finished n = 2 census and drops the stopped n
     assert count_table(exc.run) == [(2, 1, 2)]
     assert sorted(kc.c3 for kc in exc.run.classes.values()) == [2, 2]
+    assert exc.run.kauffman_evals_per_n == {2: 2}
 
 
 def test_enumerate_diagrams_deduplicates():
@@ -326,7 +327,7 @@ def test_classify_canonicalises_each_word_once(monkeypatch):
             lambda p, words: len(words))
     classify(3)
     assert calls == {"canonical_diagram_code": 468, "convert_to_double": 177,
-                     "alexander": 177, "jones_triple_batch": 351}
+                     "alexander": 177, "jones_triple_batch": 177}
 
 
 def _distinct_words(p):
@@ -364,30 +365,48 @@ def test_alexander_is_mirror_invariant(projections_n4):
 
 
 def test_project_classes_deconstructs_once_per_mirror_class(projections_n4):
-    """``_project_classes`` against a per-diagram reference: the same
-    (pair, code, mirror-folded code) sequence, each pair computed on its
-    own diagram, with a deconstruction exactly at the first member of each
-    mirror class.  Every distinct diagram at n <= 3; at n = 4, two seeded
-    projections, whose pairs are checked on 40 seeded diagrams each."""
+    """``_project_classes`` against a per-class reference: one record per
+    class of ``canonical_diagram_code(d, fold_mirror=True)``, in the order
+    of the classes' first members, with the first member's code and
+    deconstruction; and every distinct diagram has its class's pair, the
+    mirror invariance the stage relies on.  Every distinct diagram at
+    n <= 3; at n = 4, two seeded projections, with the pairs checked on 40
+    seeded distinct diagrams each."""
     rng = random.Random(23)
     cases = [(p, None) for n in (2, 3) for p in enumerate_projections(n)]
     cases += [(p, 40) for p in rng.sample(projections_n4, 2)]
     for p, sample in cases:
         reference = _distinct_words(p)
+        diagrams = [TripleDiagram(p, words) for words, _ in reference]
+        folded = [canonical_diagram_code(d, fold_mirror=True) for d in diagrams]
+        first = {}
+        for i, key in enumerate(folded):
+            first.setdefault(key, i)
         got = list(enumeration._project_classes(p, p.n))
-        assert [code for _, code, _, _ in got] == [code for _, code in reference]
-        checked = range(len(got)) if sample is None else rng.sample(range(len(got)), sample)
+        assert [code for _, code, _ in got] == [reference[i][1] for i in first.values()]
+        for i, (_, _, dd) in zip(first.values(), got):
+            assert dd.alpha == convert_to_double(diagrams[i]).alpha
+        pair = {key: record[0] for key, record in zip(first, got)}
+        checked = range(len(diagrams)) if sample is None else rng.sample(range(len(diagrams)), sample)
         for i in checked:
-            d = TripleDiagram(p, reference[i][0])
-            assert got[i][0] == (fold_jones(jones_triple(d)), _alexander_string(d))
-        seen = set()
-        for (words, _), (_, _, mirror_class, dd) in zip(reference, got):
-            d = TripleDiagram(p, words)
-            assert mirror_class == canonical_diagram_code(d, fold_mirror=True)
-            assert (dd is None) == (mirror_class in seen)
-            if dd is not None:
-                assert dd.alpha == convert_to_double(d).alpha
-            seen.add(mirror_class)
+            d = diagrams[i]
+            assert pair[folded[i]] == (fold_jones(jones_triple(d)), _alexander_string(d))
+
+
+def test_m_orbit_merge_keeps_every_jones_alexander_pair(projections_n4):
+    """The M1/M2 orbit merge loses no (Jones, Alexander) pair at n = 4: the
+    pairs over all 65 prime shadows are the pairs over the 15 orbit
+    representatives.  Kauffman F is left out for cost: it would run on
+    every mirror class of the 65 shadows."""
+    def pairs(projections):
+        return {pair for p in projections
+                for pair, _, _ in enumeration._project_classes(p, p.n)}
+
+    primes = [p for p in enumerate_raw_shadows(4) if p.is_prime()]
+    assert (len(primes), len(projections_n4)) == (65, 15)
+    merged = pairs(projections_n4)
+    assert len(merged) == 30
+    assert pairs(primes) == merged
 
 
 def test_fold_jones_symmetric():
@@ -489,15 +508,11 @@ def test_census_n4_kauffman_sweep_of_every_diagram(run_n4, reference):
     only the 5_1 and 4_1 # 4_1 (Jones, Alexander) keys: the census, which
     runs F only on pairs first realized at n = 4, misses no class there."""
     unknot = (fold_jones(HalfLaurent.one()), str(IntLaurent.from_int_coeffs({0: 1})))
-    folded_f = {}
     fs_by_pair = {}
     for p in enumerate_projections(4):
-        for pair, _, mirror_class, dd in enumeration._project_classes(p, 4):
-            if pair == unknot:
-                continue
-            if mirror_class not in folded_f:
-                folded_f[mirror_class] = fold_kauffman(kauffman_f(dd))
-            fs_by_pair.setdefault(pair, set()).add(folded_f[mirror_class])
+        for pair, _, dd in enumeration._project_classes(p, 4):
+            if pair != unknot:
+                fs_by_pair.setdefault(pair, set()).add(fold_kauffman(kauffman_f(dd)))
     split = {pair for pair, fs in fs_by_pair.items() if len(fs) > 1}
     assert {identify(pair, reference) for pair in split} == {"5_1", None}
     assert len(split) == 2

@@ -1,6 +1,8 @@
 import pytest
 
 from tricross import (
+    JR,
+    JR_PRIME,
     M1,
     M2,
     MoveSite,
@@ -80,6 +82,13 @@ def test_m_move_site_out_of_range_is_stale(kind, crossing, slot):
     p = parse_spd(T2_1).projection
     with pytest.raises(StaleSiteError):
         apply_m(p, MoveSite(kind, crossing, slot))
+
+
+@pytest.mark.parametrize("apply, kind", [(apply_jr, JR), (apply_jr_prime, JR_PRIME)])
+@pytest.mark.parametrize("crossing,slot", [(2, 0), (-1, 0), (0, 6), (0, -1)])
+def test_jr_move_site_out_of_range_is_stale(apply, kind, crossing, slot):
+    with pytest.raises(StaleSiteError):
+        apply(parse_spd(T2_1), MoveSite(kind, crossing, slot))
 
 
 def test_jr_moves_preserve_invariants_on_two_crossing_diagrams():
