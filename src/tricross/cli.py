@@ -24,9 +24,11 @@ from .enumeration import (
     classify,
     count_table,
     enumerate_projections,
+    fold_kauffman,
 )
 from .homfly import BudgetError, homfly
 from .jones import jones_triple
+from .kauffman import kauffman_f
 from .laurent import IntLaurent, breadth, is_monic
 from .maps import DiagramError, TripleDiagram, TripleProjection
 from .spd import parse_spd, serialize_spd
@@ -91,6 +93,10 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         record["homfly"] = str(homfly(dd))
     except BudgetError:
         record["homfly"] = None
+    try:
+        record["kauffman"] = fold_kauffman(kauffman_f(dd))
+    except BudgetError:
+        record["kauffman"] = None
     _emit(_open_out(args.out), json.dumps(record))
     return EXIT_OK
 
@@ -178,11 +184,12 @@ def _run_records(run: ClassifyRun) -> List[str]:
     return lines
 
 
-# The fields ``report`` reads from each record type, with their JSON types.
+# The fields ``report`` reads from each record type, with their JSON types;
+# a field's type must be exactly this one, so a boolean is not an int.
 _RECORD_FIELDS = {
     "row": {"n": int, "projections": int, "knots": int},
-    "class": {"c3": int, "jones": str, "alexander": str, "witness": str,
-              "kauffman": (str, type(None))},
+    "class": {"c3": int, "jones": str, "alexander": str, "kauffman": str,
+              "witness": str, "composite": bool},
 }
 
 
@@ -203,7 +210,7 @@ def _read_run(path: str) -> tuple[List[dict], List[KnotClass]]:
                 raise DiagramError(f"{where}: not a JSON object")
             kind = rec.get("type")
             bad = [k for k, t in _RECORD_FIELDS.get(kind, {}).items()
-                   if not isinstance(rec.get(k), t)]
+                   if type(rec.get(k)) is not t]
             if bad:
                 raise DiagramError(f"{where}: {kind} record has no valid {', '.join(bad)}")
             if kind == "row":
@@ -216,10 +223,10 @@ def _read_run(path: str) -> tuple[List[dict], List[KnotClass]]:
                 classes.append(KnotClass(
                     jones_folded=rec["jones"],
                     alexander=rec["alexander"],
+                    kauffman_folded=rec["kauffman"],
                     c3=rec["c3"],
                     witness_spd=rec["witness"],
-                    composite=rec.get("composite", False),
-                    kauffman_folded=rec.get("kauffman"),
+                    composite=rec["composite"],
                 ))
     return rows, classes
 

@@ -300,12 +300,19 @@ def enumerate_projections(
     partial_codes: Optional[List[Tuple[int, ...]]] = None,
 ) -> List[TripleProjection]:
     """Canonical representatives of prime knot projections with ``n`` triple
-    points, one per orbit of the M1/M2 slides (mirror images folded)."""
+    points, one per orbit of the M1/M2 slides (mirror images folded).
+
+    ``partial_codes`` are the codes a budget stop collected; a code the
+    search could not have yielded (not a spherical one-curve prime shadow
+    in its canonical labeling) is refused with ``DiagramError``."""
     seen: Dict[Tuple[int, ...], TripleProjection] = {}
-    if partial_codes:
-        for code in partial_codes:
-            p = TripleProjection(list(code), n)
-            seen[canonical_projection_code(p, fold_mirror)] = p
+    for code in partial_codes or ():
+        p = TripleProjection(code, n)
+        if not (p.is_spherical() and p.num_components() == 1 and p.is_prime()
+                and canonical_projection_code(p, fold_mirror) == p.alpha):
+            raise DiagramError(f"the partial code {list(code)} is not a canonical "
+                               f"prime shadow at n = {n}, fold_mirror = {fold_mirror}")
+        seen[p.alpha] = p
     collected: List[Tuple[int, ...]] = list(partial_codes or [])
     try:
         for p in enumerate_raw_shadows(n, budget, resume_token, fold_mirror):
@@ -365,21 +372,21 @@ def enumerate_diagrams(p: TripleProjection) -> List[TripleDiagram]:
     return [TripleDiagram(p, first[code]) for code in sorted(first)]
 
 
-ClassKey = Tuple[str, str, Optional[str]]
+ClassKey = Tuple[str, str, str]
 
 
 @dataclass
 class KnotClass:
     jones_folded: str
     alexander: str
+    kauffman_folded: str
     c3: int
     witness_spd: str
     composite: bool = False
-    kauffman_folded: Optional[str] = None
 
     @property
     def fingerprint(self) -> ClassKey:
-        """(folded Jones, Alexander, folded Kauffman F); F may be unknown."""
+        """(folded Jones, Alexander, folded Kauffman F)."""
         return (self.jones_folded, self.alexander, self.kauffman_folded)
 
 
@@ -479,12 +486,8 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
                     evals += 1
                     if key not in run.classes:
                         run.classes[key] = KnotClass(
-                            jones_folded=key[0],
-                            alexander=key[1],
-                            c3=n,
-                            witness_spd=serialize_spd(_diagram_from_code(code, n)),
-                            kauffman_folded=key[2],
-                        )
+                            *key, c3=n,
+                            witness_spd=serialize_spd(_diagram_from_code(code, n)))
             run.kauffman_evals_per_n[n] = evals
     except BudgetExceeded as exc:
         # keep what the n's before the stop found
@@ -503,42 +506,34 @@ def _folded_products(x, y, mirror, fold) -> set:
 
 
 def _mark_composites(classes: Dict[ClassKey, KnotClass]) -> None:
-    """Flag classes whose invariants factor over two nontrivial classes.
+    """Flag each class whose key is the key of a connected sum of two classes.
 
     Jones, Alexander and Kauffman F are multiplicative under connected sum,
     and the diagram of a sum needs no more triple crossings than its parts
-    together, so a class whose invariants are all products over two smaller
-    classes is indistinguishable from that connected sum by these
-    invariants.  F is compared only where all three classes carry it.  Such
-    classes are flagged, never dropped or merged: the polynomials cannot
-    prove compositeness, only fail to refute it.
+    together, so a class whose key is a sum's key, at a c3 sum no larger
+    than its own, is indistinguishable from that connected sum by these
+    invariants.  Such classes are flagged, never dropped or merged: the
+    polynomials cannot prove compositeness, only fail to refute it.
     """
     items = list(classes.values())
+    top = max((kc.c3 for kc in items), default=0)
+    sum_c3: Dict[ClassKey, int] = {}
+    for a, b in itertools.combinations_with_replacement(items, 2):
+        c3 = a.c3 + b.c3
+        if c3 > top:
+            continue
+        jones = _folded_products(HalfLaurent.parse(a.jones_folded),
+                                 HalfLaurent.parse(b.jones_folded),
+                                 HalfLaurent.invert_t, fold_jones)
+        alex = str(IntLaurent.parse(a.alexander) * IntLaurent.parse(b.alexander))
+        fs = _folded_products(Laurent2.parse(a.kauffman_folded),
+                              Laurent2.parse(b.kauffman_folded),
+                              Laurent2.invert_a, fold_kauffman)
+        # Jones and F each under either mirroring, as each factors on its own
+        for key in itertools.product(jones, (alex,), fs):
+            sum_c3[key] = min(c3, sum_c3.get(key, c3))
     for kc in items:
-        for a in items:
-            if a.c3 >= kc.c3:
-                continue
-            for b in items:
-                if a.c3 + b.c3 > kc.c3:
-                    continue
-                prod_alex = IntLaurent.parse(a.alexander) * IntLaurent.parse(b.alexander)
-                if str(prod_alex) != kc.alexander:
-                    continue
-                jones = _folded_products(
-                    HalfLaurent.parse(a.jones_folded),
-                    HalfLaurent.parse(b.jones_folded),
-                    HalfLaurent.invert_t, fold_jones)
-                if kc.jones_folded not in jones:
-                    continue
-                fs = (kc.kauffman_folded, a.kauffman_folded, b.kauffman_folded)
-                if None not in fs and fs[0] not in _folded_products(
-                        Laurent2.parse(fs[1]), Laurent2.parse(fs[2]),
-                        Laurent2.invert_a, fold_kauffman):
-                    continue
-                kc.composite = True
-                break
-            if kc.composite:
-                break
+        kc.composite = kc.fingerprint in sum_c3 and sum_c3[kc.fingerprint] <= kc.c3
 
 
 def count_table(run: ClassifyRun) -> List[Tuple[int, int, int]]:

@@ -22,7 +22,7 @@ from .maps import DiagramError, TripleDiagram, TripleProjection
 
 UNKNOT_CODE = "sPD[O]"
 
-_CROSSING_RE = re.compile(r"X\[([0-9,]+)(?:\|([TMB]{3}))?\]")
+_CROSSING_RE = re.compile(r"X\[([0-9]+(?:,[0-9]+)*)(?:\|([TMB]{3}))?\]")
 
 
 class SpdSyntaxError(DiagramError):
@@ -45,7 +45,7 @@ def parse_spd(text: str) -> Union[TripleProjection, TripleDiagram]:
         m = _CROSSING_RE.match(body, pos)
         if not m:
             raise SpdSyntaxError(f"bad crossing syntax at: {body[pos:pos + 24]!r}")
-        labels = [int(x) for x in m.group(1).split(",") if x]
+        labels = [int(x) for x in m.group(1).split(",")]
         if any(lab < 1 for lab in labels):
             raise SpdSyntaxError("edge labels must be >= 1")
         crossings.append((labels, m.group(2)))

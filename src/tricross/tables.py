@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .alexander import alexander
-from .enumeration import fold_jones, fold_kauffman
+from .enumeration import ClassKey, fold_jones, fold_kauffman
 from .jones import bracket_jones
 from .kauffman import kauffman_f
 from .laurent import HalfLaurent, IntLaurent, Laurent2, breadth, is_monic
@@ -115,10 +115,10 @@ class ReferenceKnot:
     alternating: bool
     jones: str  # mirror-folded textual form
     alexander: str
-    kauffman: Optional[str] = None  # mirror-folded Kauffman F
+    kauffman: str  # mirror-folded Kauffman F
 
     @property
-    def fingerprint(self) -> Tuple[str, str, Optional[str]]:
+    def fingerprint(self) -> ClassKey:
         return (self.jones, self.alexander, self.kauffman)
 
 
@@ -207,13 +207,15 @@ def write_reference_csv(rows: List[ReferenceKnot], path: str) -> None:
         w.writerow(REFERENCE_HEADER)
         for r in rows:
             w.writerow([r.name, r.c2, int(r.alternating), r.jones, r.alexander,
-                        r.kauffman or ""])
+                        r.kauffman])
 
 
 def load_reference(path: Optional[str] = None) -> List[ReferenceKnot]:
     """Load the reference CSV (the bundled copy when no path is given).
 
-    A row with an empty ``kauffman`` cell loads with ``kauffman=None``."""
+    Every row carries the whole class key.  A row with an empty
+    ``kauffman`` cell, or with a polynomial that does not parse, is refused
+    with a ``DiagramError`` that names it."""
     if path is None:
         from importlib import resources
 
@@ -233,42 +235,32 @@ def load_reference(path: Optional[str] = None) -> List[ReferenceKnot]:
         if len(rec) != len(REFERENCE_HEADER):
             raise DiagramError(f"malformed reference row: {rec}")
         name, c2, alt, jones, alex, kauffman = rec
-        kauffman = kauffman or None
         if name in names:
             raise DiagramError(f"duplicate reference name {name}")
         names.add(name)
-        a = IntLaurent.parse(alex)
+        if not kauffman:
+            raise DiagramError(f"{name}: empty kauffman cell")
+        try:
+            a = IntLaurent.parse(alex)
+            HalfLaurent.parse(jones)  # validates syntax
+            Laurent2.parse(kauffman)
+        except ValueError as exc:
+            raise DiagramError(f"{name}: {exc}") from None
         if a.invert_t() != a or sum(a.int_coeffs().values()) != 1:
             raise DiagramError(f"{name}: Alexander normalization violated")
-        HalfLaurent.parse(jones)  # validates syntax
-        if kauffman is not None:
-            Laurent2.parse(kauffman)
         rows.append(
             ReferenceKnot(name, int(c2), bool(int(alt)), jones, alex, kauffman))
     return rows
 
 
-def identify(fingerprint: Tuple, refs: List[ReferenceKnot]) -> Optional[str]:
-    """Unique fingerprint match -> name; ambiguity -> joined candidates; else None.
-
-    ``fingerprint`` is (folded Jones, Alexander), optionally followed by the
-    folded Kauffman F.  Jones and Alexander must match; F must match wherever
-    both sides have one, so a class that F separates from a reference knot
-    is not given its name.
-    """
-    jones, alex = fingerprint[:2]
-    f = fingerprint[2] if len(fingerprint) > 2 else None
-    matches = [
-        r.name
-        for r in refs
-        if (r.jones, r.alexander) == (jones, alex)
-        and (f is None or r.kauffman is None or r.kauffman == f)
-    ]
-    if not matches:
-        return None
-    if len(matches) == 1:
-        return matches[0]
-    return "ambiguous:" + ",".join(sorted(matches))
+def identify(fingerprint: ClassKey, refs: List[ReferenceKnot]) -> Optional[str]:
+    """The name of the reference knot whose key (folded Jones, Alexander,
+    folded Kauffman F) is ``fingerprint``; the joined candidates when several
+    are; None when none is."""
+    matches = sorted(r.name for r in refs if r.fingerprint == fingerprint)
+    if len(matches) > 1:
+        return "ambiguous:" + ",".join(matches)
+    return matches[0] if matches else None
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +372,7 @@ def emit_table(classes, refs: List[ReferenceKnot], fmt: str = "json") -> str:
         for r in rows:
             lines.append(
                 f"{r['c3']} & {r['name']} & ${r['jones']}$ & ${r['alexander']}$"
-                f" & {'$' + r['kauffman'] + '$' if r['kauffman'] else ''} \\\\"
+                f" & ${r['kauffman']}$ \\\\"
             )
         lines.append("\\end{tabular}")
         return "\n".join(lines) + "\n"

@@ -179,7 +179,7 @@ def test_criterion_07_conjecture(run_n4, reference, tmp_path):
     bad_run = tmp_path / "bad.jsonl"
     bad_run.write_text(json.dumps({
         "type": "class", "c3": 2, "jones": "x",
-        "alexander": "2*t^-1 + -3*t^0 + 2*t^1", "kauffman": None,
+        "alexander": "2*t^-1 + -3*t^0 + 2*t^1", "kauffman": "F",
         "witness": "w", "composite": False}))
     exit_ok = main(["report", str(bad_run)]) == EXIT_VIOLATION
     verdict(7, strict_ok and weak_ok and exit_ok,

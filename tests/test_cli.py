@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tricross import HalfLaurent, fold_jones
 from tricross.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -36,7 +37,21 @@ def test_invariants_command_on_the_unknot(tmp_path):
     assert main(["invariants", str(spd), "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text()) == {
         "jones": "1*t^0", "alexander": "1*t^0", "breadth": 0, "monic": True,
-        "homfly": "1*a^0*z^0"}
+        "homfly": "1*a^0*z^0", "kauffman": "1*a^0*z^0"}
+
+
+def test_invariants_of_each_witness_give_its_class_key(tmp_path):
+    run = tmp_path / "run.jsonl"
+    assert main(["classify", "--n", "3", "--out", str(run)]) == EXIT_OK
+    classes = [r for r in read_jsonl(run) if r["type"] == "class"]
+    assert len(classes) == 4
+    for i, kc in enumerate(classes):
+        spd, out = tmp_path / f"w{i}.spd", tmp_path / f"w{i}.json"
+        spd.write_text(kc["witness"])
+        assert main(["invariants", str(spd), "--out", str(out)]) == EXIT_OK
+        rec = json.loads(out.read_text())
+        assert fold_jones(HalfLaurent.parse(rec["jones"])) == kc["jones"]
+        assert (rec["alexander"], rec["kauffman"]) == (kc["alexander"], kc["kauffman"])
 
 
 def test_invariants_rejects_bare_projection(tmp_path):
@@ -101,6 +116,8 @@ def test_enumerate_refuses_resume_file_for_other_n(tmp_path):
     (json.dumps({"n": 3, "fold_mirror": True, "path": ["x"]}), []),
     (None, 5),
     (None, [[1.5, 0] + list(range(2, 18))]),
+    # each dart paired with its neighbour: three crossings, each on its own
+    (None, [[d ^ 1 for d in range(18)]]),
 ])
 def test_enumerate_refuses_a_malformed_resume_file(tmp_path, capsys, token, partial):
     resume = tmp_path / "resume.json"
@@ -167,7 +184,7 @@ def test_report_detects_violation(tmp_path):
         {"type": "row", "n": 2, "projections": 1, "knots": 1},
         # non-monic Alexander with breadth 2 at c3 = 2: strict bound fails
         {"type": "class", "c3": 2, "jones": "x",
-         "alexander": "2*t^-1 + -3*t^0 + 2*t^1", "kauffman": None,
+         "alexander": "2*t^-1 + -3*t^0 + 2*t^1", "kauffman": "F",
          "witness": "w", "composite": False},
     ]
     run.write_text("\n".join(json.dumps(r) for r in fake))
@@ -188,7 +205,7 @@ def test_report_without_a_run_file_reports_an_empty_run(tmp_path, fmt):
 
 
 _CLASS = {"type": "class", "c3": 2, "jones": "x", "alexander": "1*t^-1 + -1*t^0 + 1*t^1",
-          "kauffman": None, "witness": "w", "composite": False}
+          "kauffman": "F", "witness": "w", "composite": False}
 
 
 @pytest.mark.parametrize("record", [
@@ -199,10 +216,13 @@ _CLASS = {"type": "class", "c3": 2, "jones": "x", "alexander": "1*t^-1 + -1*t^0 
     dict(_CLASS, alexander="0"),
     dict(_CLASS, alexander="1*t^1/2"),
     dict(_CLASS, c3="2"),
+    dict(_CLASS, c3=True),
     dict(_CLASS, kauffman=5),
+    dict(_CLASS, kauffman=None),
+    dict(_CLASS, composite=0),
 ], ids=["class-without-jones", "row-without-projections", "not-an-object",
         "garbage-alexander", "zero-alexander", "half-power-alexander", "text-c3",
-        "number-kauffman"])
+        "bool-c3", "number-kauffman", "null-kauffman", "number-composite"])
 @pytest.mark.parametrize("fmt", ["json", "latex"])
 def test_report_refuses_a_malformed_run_file(tmp_path, capsys, record, fmt):
     run = tmp_path / "run.jsonl"

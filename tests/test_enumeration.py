@@ -1,7 +1,9 @@
 import itertools
 import json
 import random
+import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +165,35 @@ def test_budget_and_resume_roundtrip():
     # the search depends on the mirror setting, and so does its token
     with pytest.raises(DiagramError):
         enumerate_projections(3, fold_mirror=False, resume_token=exc.resume_token)
+
+
+# n = 2 pairings that the search with mirror images folded cannot yield as
+# prime shadows in canonical form
+_NOT_SEARCHED = {
+    "disconnected": [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10],
+    "not-spherical": [1, 0, 3, 2, 6, 7, 4, 5, 10, 11, 8, 9],
+    "two-curves": [1, 0, 3, 2, 6, 7, 4, 5, 11, 10, 9, 8],
+    "not-prime": [1, 0, 3, 2, 6, 7, 4, 5, 9, 8, 11, 10],
+    "relabelled": [1, 0, 7, 6, 11, 8, 3, 2, 5, 10, 9, 4],
+    "mirror-form": [1, 0, 6, 11, 10, 7, 2, 5, 9, 8, 4, 3],
+}
+
+
+@pytest.mark.parametrize("code", _NOT_SEARCHED.values(), ids=_NOT_SEARCHED)
+def test_resume_refuses_a_partial_code_the_search_cannot_yield(code):
+    with pytest.raises(DiagramError, match=re.escape(str(code))):
+        enumerate_projections(2, partial_codes=[tuple(code)])
+
+
+def test_resume_accepts_the_codes_the_search_yields():
+    (p,) = enumerate_projections(2)
+    assert enumerate_projections(2, partial_codes=[p.alpha]) == [p]
+    # the mirror form is a prime shadow of the search that keeps mirror
+    # images apart
+    mirror = tuple(_NOT_SEARCHED["mirror-form"])
+    assert mirror in {q.alpha for q in enumerate_raw_shadows(2, fold_mirror=False)}
+    assert (enumerate_projections(2, fold_mirror=False, partial_codes=[mirror])
+            == enumerate_projections(2, fold_mirror=False))
 
 
 @settings(max_examples=20, deadline=None)
@@ -446,40 +477,119 @@ def test_classify_evaluates_kauffman_once_per_mirror_class(monkeypatch):
     assert len(classes) == len(set(classes)) == 6
 
 
+def _reference_composites(classes):
+    """Keys of the classes with a factoring over two classes whose c3 sum is
+    at most their own: a loop over (class, factor, factor) triples."""
+    flagged = set()
+    items = list(classes.values())
+    for key, kc in classes.items():
+        for a in items:
+            if a.c3 >= kc.c3:
+                continue
+            for b in items:
+                if a.c3 + b.c3 > kc.c3:
+                    continue
+                prod_alex = IntLaurent.parse(a.alexander) * IntLaurent.parse(b.alexander)
+                if str(prod_alex) != kc.alexander:
+                    continue
+                jones = enumeration._folded_products(
+                    HalfLaurent.parse(a.jones_folded),
+                    HalfLaurent.parse(b.jones_folded),
+                    HalfLaurent.invert_t, fold_jones)
+                fs = enumeration._folded_products(
+                    Laurent2.parse(a.kauffman_folded),
+                    Laurent2.parse(b.kauffman_folded),
+                    Laurent2.invert_a, fold_kauffman)
+                if kc.jones_folded in jones and kc.kauffman_folded in fs:
+                    flagged.add(key)
+    return flagged
+
+
+def _flags_of(classes):
+    """``_mark_composites``'s flags on fresh copies of ``classes``."""
+    fresh = {key: replace(kc, composite=False) for key, kc in classes.items()}
+    _mark_composites(fresh)
+    return {key for key, kc in fresh.items() if kc.composite}
+
+
+_TREFOIL_F = kauffman_f(DoubleDiagram.from_pd(rational_knot_pd((3,))))
+
+
 def test_mark_composites_on_synthetic_classes():
     v1 = HalfLaurent({2: 1, 6: 1, 8: -1})          # trefoil-like
     a1 = "1*t^-1 + -1*t^0 + 1*t^1"
     prod_v = fold_jones(v1 * v1)
     prod_a = "1*t^-2 + -2*t^-1 + 3*t^0 + -2*t^1 + 1*t^2"
     classes = {
-        ("a", a1): KnotClass(fold_jones(v1), a1, 2, "w1"),
-        ("b", prod_a): KnotClass(prod_v, prod_a, 4, "w2"),
+        "a": KnotClass(fold_jones(v1), a1, fold_kauffman(_TREFOIL_F), 2, "w1"),
+        "b": KnotClass(prod_v, prod_a, fold_kauffman(_TREFOIL_F * _TREFOIL_F), 4, "w2"),
     }
-    _mark_composites(classes)
-    assert not classes[("a", a1)].composite
-    assert classes[("b", prod_a)].composite
+    assert _flags_of(classes) == _reference_composites(classes) == {"b"}
 
 
 def test_mark_composites_requires_kauffman_to_factor():
     v1 = HalfLaurent({2: 1, 6: 1, 8: -1})
     a1 = "1*t^-1 + -1*t^0 + 1*t^1"
-    f1 = kauffman_f(DoubleDiagram.from_pd(rational_knot_pd((3,))))
+    f1 = _TREFOIL_F
     prod_v = fold_jones(v1 * v1)
     prod_a = "1*t^-2 + -2*t^-1 + 3*t^0 + -2*t^1 + 1*t^2"
 
     def candidate(f):
-        return KnotClass(prod_v, prod_a, 4, "w", kauffman_folded=fold_kauffman(f))
+        return KnotClass(prod_v, prod_a, fold_kauffman(f), 4, "w")
 
     classes = {
-        "a": KnotClass(fold_jones(v1), a1, 2, "w1", kauffman_folded=fold_kauffman(f1)),
+        "a": KnotClass(fold_jones(v1), a1, fold_kauffman(f1), 2, "w1"),
         "granny": candidate(f1 * f1),
         "square": candidate(f1 * f1.invert_a()),
         "prime": candidate(f1 * f1 + Laurent2.one()),
     }
-    _mark_composites(classes)
-    assert classes["granny"].composite and classes["square"].composite
-    assert not classes["prime"].composite
-    assert not classes["a"].composite
+    assert _flags_of(classes) == _reference_composites(classes) == {"granny", "square"}
+
+
+def test_mark_composites_equals_the_reference_loop_on_the_census(run_n4):
+    flagged = _flags_of(run_n4.classes)
+    assert flagged == _reference_composites(run_n4.classes)
+    assert flagged == {key for key, kc in run_n4.classes.items() if kc.composite}
+    assert Counter(run_n4.classes[key].c3 for key in flagged) == {4: 3}
+
+
+def _synthetic_classes(rng, reference):
+    """Classes from reference keys at random c3: primes, connected sums of
+    two of them under a random mirroring, and sums whose F alone is changed
+    (their Jones and Alexander factor, their F does not)."""
+    primes = rng.sample([r.fingerprint for r in reference if r.c2 <= 7], 6)
+
+    def parsed(key):
+        return (HalfLaurent.parse(key[0]), IntLaurent.parse(key[1]),
+                Laurent2.parse(key[2]))
+
+    classes = {}
+
+    def add(key, c3):
+        classes.setdefault(key, KnotClass(*key, c3, "w"))
+
+    for key in primes:
+        add(key, rng.randint(2, 4))
+    for _ in range(10):
+        (va, aa, fa), (vb, ab, fb) = map(parsed, rng.choices(primes, k=2))
+        if rng.random() < 0.5:
+            vb, fb = vb.invert_t(), fb.invert_a()
+        f = fa * fb
+        if rng.random() < 0.3:
+            f = f + Laurent2.one()
+        add((fold_jones(va * vb), str(aa * ab), fold_kauffman(f)), rng.randint(3, 8))
+    return classes
+
+
+def test_mark_composites_equals_the_reference_loop_on_synthetic_classes(reference):
+    flagged = unflagged = 0
+    for seed in range(12):
+        classes = _synthetic_classes(random.Random(seed), reference)
+        want = _reference_composites(classes)
+        assert _flags_of(classes) == want
+        flagged += len(want)
+        unflagged += len(classes) - len(want)
+    assert flagged and unflagged
 
 
 def test_census_n4_kauffman_splits_two_keys(run_n4, reference):
@@ -493,14 +603,15 @@ def test_census_n4_kauffman_splits_two_keys(run_n4, reference):
     by_pair = Counter(kc.fingerprint[:2] for kc in at4)
     split = [pair for pair, k in by_pair.items() if k > 1]
     assert sorted(by_pair.values()) == [1] * 23 + [2, 2]
-    assert {identify(pair, reference) for pair in split} == {"5_1", None}
+    # one split pair is 5_1's: F names one of its classes and leaves the
+    # other nameless; the other is 4_1 # 4_1's: one class flagged, one not
+    verdicts = []
     for pair in split:
         kcs = [kc for kc in at4 if kc.fingerprint[:2] == pair]
         assert kcs[0].kauffman_folded != kcs[1].kauffman_folded
-        # the unnamed pair is 4_1 # 4_1's: one class flagged, one not
-        flags = sorted(kc.composite for kc in kcs)
-        assert flags == ([False, False] if identify(pair, reference) else
-                         [False, True])
+        verdicts.append(sorted((identify(kc.fingerprint, reference) or "", kc.composite)
+                               for kc in kcs))
+    assert sorted(verdicts) == [[("", False), ("", True)], [("", False), ("5_1", False)]]
 
 
 def test_census_n4_kauffman_sweep_of_every_diagram(run_n4, reference):
@@ -514,9 +625,10 @@ def test_census_n4_kauffman_sweep_of_every_diagram(run_n4, reference):
             if pair != unknot:
                 fs_by_pair.setdefault(pair, set()).add(fold_kauffman(kauffman_f(dd)))
     split = {pair for pair, fs in fs_by_pair.items() if len(fs) > 1}
-    assert {identify(pair, reference) for pair in split} == {"5_1", None}
     assert len(split) == 2
     swept = {pair + (f,) for pair, fs in fs_by_pair.items() for f in fs}
+    assert sorted(identify(key, reference) or "" for key in swept
+                  if key[:2] in split) == ["", "", "", "5_1"]
     assert swept <= set(run_n4.classes)
     older = {kc.fingerprint[:2] for kc in run_n4.classes.values() if kc.c3 < 4}
     at4 = {kc.fingerprint for kc in run_n4.classes.values() if kc.c3 == 4}

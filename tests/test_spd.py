@@ -48,6 +48,11 @@ def test_serialize_is_normal_form():
     "sPD[X[5,4,3,2,1,5|TMM],X[6,2,3,4,1,6|TMB]]", # bad height word
     "sPD[X[5,4,3,2,1,5|TMB],X[6,2,3,4,1,6]]",     # mixed heights/none
     "PD[X[1,2,2,1,3,3]]",                         # wrong prefix
+    # empty labels: a trefoil's labels with one comma too many
+    "sPD[X[,5,4,3,2,1,5|TMB],X[6,2,3,4,1,6|TMB]]",  # leading comma
+    "sPD[X[5,4,,3,2,1,5|TMB],X[6,2,3,4,1,6|TMB]]",  # doubled comma
+    "sPD[X[5,4,3,2,1,5|TMB],X[6,2,3,4,1,6,|TMB]]",  # trailing comma
+    "sPD[X[5,4,3,2,1,5,],X[6,2,3,4,1,6]]",          # trailing, no heights
 ])
 def test_syntax_errors(bad):
     with pytest.raises(SpdSyntaxError):

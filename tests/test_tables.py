@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +31,7 @@ from tricross.tables import (
     NOT_APPLICABLE,
     continued_fraction,
     reference_rows,
+    write_reference_csv,
 )
 from conftest import T2_1, W_41_41, W_41_41_SPLIT, W_51_SPLIT
 
@@ -63,27 +65,38 @@ def test_braid_closure_torus_knots():
     assert det == 3
 
 
+def _knot_class(dd, witness):
+    return KnotClass(fold_jones(bracket_jones(dd)), str(alexander(dd)),
+                     fold_kauffman(kauffman_f(dd)), 4, witness)
+
+
 def test_identify_unique_ambiguous_none(reference):
     r31 = next(r for r in reference if r.name == "3_1")
     assert identify(r31.fingerprint, reference) == "3_1"
-    assert identify(("no-such", "poly"), reference) is None
-    twin = type(r31)("fake", 9, True, r31.jones, r31.alexander)
+    assert identify(("no-such", "poly", "F"), reference) is None
+    twin = replace(r31, name="fake", c2=9)
     assert identify(r31.fingerprint, reference + [twin]) == "ambiguous:3_1,fake"
 
 
-def test_identify_checks_kauffman_where_known(reference):
+def test_identify_matches_the_whole_key(reference):
     r51 = next(r for r in reference if r.name == "5_1")
-    assert r51.kauffman
     assert identify(r51.fingerprint, reference) == "5_1"
-    assert identify((r51.jones, r51.alexander, None), reference) == "5_1"
-    assert identify((r51.jones, r51.alexander, "other F"), reference) is None
+    # an n = 4 diagram with 5_1's Jones and Alexander and another F
+    dd = convert_to_double(parse_spd(W_51_SPLIT))
+    split = _knot_class(dd, "w").fingerprint
+    assert split[:2] == r51.fingerprint[:2] and split[2] != r51.kauffman
+    assert identify(split, reference) is None
+    for i in range(3):
+        key = list(r51.fingerprint)
+        key[i] = "other"
+        assert identify(tuple(key), reference) is None
 
 
 def test_conjecture_report_on_named_small_classes(reference):
-    v31 = fold_jones(bracket_jones(DoubleDiagram.from_pd(rational_knot_pd((3,)))))
+    r31 = next(r for r in reference if r.name == "3_1")
     classes = [
-        KnotClass(v31, "1*t^-1 + -1*t^0 + 1*t^1", 2, "w"),          # 3_1: monic
-        KnotClass("x", "2*t^-1 + -3*t^0 + 2*t^1", 3, "w"),          # 5_2-like
+        KnotClass(*r31.fingerprint, 2, "w"),                        # 3_1: monic
+        KnotClass("x", "2*t^-1 + -3*t^0 + 2*t^1", "F", 3, "w"),     # 5_2-like
     ]
     rep = conjecture_report(classes, reference)
     verdicts = {v.verdict for v in rep.verdicts}
@@ -93,14 +106,14 @@ def test_conjecture_report_on_named_small_classes(reference):
 
 
 def test_conjecture_violation_detected(reference):
-    bad = [KnotClass("x", "2*t^-1 + -3*t^0 + 2*t^1", 2, "w")]  # c3 = breadth = 2
+    bad = [KnotClass("x", "2*t^-1 + -3*t^0 + 2*t^1", "F", 2, "w")]  # c3 = breadth = 2
     rep = conjecture_report(bad, reference)
     assert rep.violated
     assert rep.verdicts[0].verdict == APPLICABLE_VIOLATED
 
 
 def test_emit_table_formats(reference):
-    classes = [KnotClass("x", "1*t^0", 2, "w")]
+    classes = [KnotClass("x", "1*t^0", "F", 2, "w")]
     as_json = emit_table(classes, reference, "json")
     assert '"c3"' in as_json
     as_csv = emit_table(classes, reference, "csv")
@@ -110,11 +123,6 @@ def test_emit_table_formats(reference):
     assert "\\begin{tabular}" in as_latex
     with pytest.raises(DiagramError):
         emit_table(classes, reference, "yaml")
-
-
-def _knot_class(dd, witness):
-    return KnotClass(fold_jones(bracket_jones(dd)), str(alexander(dd)), 4, witness,
-                     kauffman_folded=fold_kauffman(kauffman_f(dd)))
 
 
 @pytest.mark.parametrize("split,partner", [
@@ -151,3 +159,19 @@ def test_reference_rows_regenerate_consistently(reference):
     regen = {r.name: r for r in reference_rows()}
     for r in reference:
         assert regen[r.name].fingerprint == r.fingerprint
+
+
+@pytest.mark.parametrize("column, cell", [
+    ("kauffman", ""), ("kauffman", "garbage"), ("jones", "garbage"),
+    ("alexander", "garbage"), ("alexander", "2*t^0 + -1*t^1"),
+])
+def test_load_reference_refuses_a_malformed_row(tmp_path, column, cell):
+    path = tmp_path / "reference.csv"
+    write_reference_csv(load_reference(), str(path))
+    assert load_reference(str(path)) == load_reference()
+    rows = list(csv.reader(io.StringIO(path.read_text())))
+    rows[3][rows[0].index(column)] = cell
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    with pytest.raises(DiagramError, match=f"^{rows[3][0]}: "):
+        load_reference(str(path))

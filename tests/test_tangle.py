@@ -1,11 +1,16 @@
 import itertools
 import random
 
+import pytest
+
 from tricross import (
+    DiagramError,
     DoubleDiagram,
     TripleDiagram,
+    TripleProjection,
     convert_to_double,
     enumerate_projections,
+    jones_triple,
     parse_spd,
 )
 from tricross.enumeration import HEIGHT_WORDS
@@ -19,6 +24,22 @@ def test_conversion_produces_valid_knot_diagrams():
         dd = convert_to_double(parse_spd(text))
         assert dd.n == 3 * 2  # three double crossings per triple crossing
         assert dd.num_components() == 1
+
+
+@pytest.mark.parametrize("alpha, jones, error", [
+    # two crossings joined to themselves only
+    ([1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10], "-1*t^-1/2 + -1*t^1/2", "disconnected"),
+    # one crossing drawn on the torus: one curve, two faces
+    ([1, 0, 4, 5, 2, 3], "1*t^0", "not spherical"),
+], ids=["disconnected", "not-spherical"])
+def test_conversion_refuses_an_unvalidated_projection(alpha, jones, error):
+    # TripleProjection checks only the pairing, and the Jones state sum
+    # takes such a diagram; the deconstruction's own validation is the one
+    # check it meets
+    d = TripleDiagram(TripleProjection(alpha), ["TMB"] * (len(alpha) // 6))
+    assert str(jones_triple(d)) == jones
+    with pytest.raises(DiagramError, match=error):
+        convert_to_double(d)
 
 
 def test_local_writhe_totals():
