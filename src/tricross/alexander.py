@@ -1,30 +1,51 @@
-"""Alexander polynomial from the labeled-arc crossing matrix.
+"""Alexander polynomial from the Wirtinger relations, with the arcs that pass
+over nothing eliminated.
 
 Arcs are maximal over-strand runs between consecutive under-passages.  Each
-crossing contributes one linear relation among the arcs through it (the
-abelianised Wirtinger relation); the Alexander polynomial is any maximal
-minor of the resulting matrix, normalised to the symmetric representative
-with value 1 at ``t = 1``.
+under-passage gives one linear relation among the arcs through it (the
+abelianised Wirtinger relation): passing with crossing sign ``s`` from arc
+``x_in`` beneath arc ``x_o`` onto arc ``x_out``,
+``x_out = t^s x_in + (1 - t^s) x_o``.  An arc that passes over nothing
+appears in exactly two relations, as the out-arc of one and the in-arc of
+the next; substituting the one into the other removes it, a Tietze move
+that leaves the elementary ideals unchanged (Crowell & Fox, *Introduction
+to Knot Theory*, 1963).  So each chain of passages joined through such arcs
+is one row.  For a chain with signs ``s_1 .. s_L``, prefix sums
+``P_0 = 0, .., P_L`` and ``top = max P``, the row (the composed relation
+times ``t^(top - P_L)``) is ``t^top`` on the chain's in-arc,
+``-t^(top - P_L)`` on its out-arc, and ``t^(top - P_k) - t^(top - P_(k-1))``
+on the over arc of step ``k``.  The arcs left are the ones that pass over
+something, each the in-arc of one chain, so the matrix is square; the
+Alexander polynomial is any maximal minor, normalised to the symmetric
+representative with value 1 at ``t = 1``.
 
 The minor is computed with one integer determinant by Kronecker
-substitution.  Each row of the crossing matrix holds the coefficients of
-``1 - t``, ``t`` and ``-1`` (or their negatives), so its coefficients have
-absolute sum at most 4; arcs sharing a column and the dropped column only
-lower that sum.  Expanding the ``size x size`` minor as a sum over
-permutations, the coefficients of det M(t) have absolute sum at most the
-product of the row sums, ``4**size``, so every coefficient has magnitude at
-most ``4**size``.  Fraction-free Bareiss elimination of M at the integer
-``B = 2 * 4**size + 1`` gives det M(B), whose balanced base-``B`` digits
-(each in ``[-(B - 1)/2, (B - 1)/2]``) are exactly the coefficients of
-det M(t).
+substitution.  A row merged from ``L`` relations has coefficients of
+absolute sum at most ``2 L + 2``: 1 on each end arc and 2 per step; arcs
+sharing a column and the dropped column only lower that sum.  Expanding
+the minor as a sum over permutations, the coefficients of det M(t) have
+absolute sum at most the product of the kept rows' sums, so every
+coefficient has magnitude at most that product.  Fraction-free Bareiss
+elimination of M at the integer ``B = 2 * prod(2 L + 2) + 1`` gives
+det M(B), whose balanced base-``B`` digits (each in
+``[-(B - 1)/2, (B - 1)/2]``) are exactly the coefficients of det M(t).
+
+:func:`alexander` reads the under-passages off either kind of diagram: off
+a :class:`DoubleDiagram` through :func:`_wirtinger`, and off a
+:class:`TripleDiagram` through one strand walk of its projection, where the
+height words say which strand passes under at each of the three double
+crossings the tangle of :mod:`tangle` deconstructs a triple crossing into.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Tuple
+from functools import lru_cache
+from itertools import permutations
+from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
 
 from .laurent import IntLaurent
-from .maps import DiagramError, DoubleDiagram
+from .maps import HEIGHT_RANK, DiagramError, DoubleDiagram, TripleDiagram, TripleProjection
+from .tangle import TANGLE_STRANDS, local_crossing_sign
 
 
 def _int_det(mat: List[List[int]]) -> int:
@@ -99,27 +120,128 @@ def _wirtinger(
             for (u, u_arc), (o, o_arc) in zip(under, over)]
 
 
-def alexander(dd: DoubleDiagram) -> IntLaurent:
-    """Normalised Alexander polynomial of a knot diagram."""
-    if dd.n == 0:
+def _chain_alexander(passes: Sequence[Tuple[int, int]]) -> IntLaurent:
+    """Normalised Alexander polynomial of a knot whose ``k``-th under-passage
+    along its walk runs from arc ``k`` to arc ``k + 1`` (mod their number)
+    beneath arc ``passes[k][0]``, with crossing sign ``passes[k][1]``."""
+    m = len(passes)
+    if m == 0:
         return IntLaurent.from_int_coeffs({0: 1})
-    rels = _wirtinger(dd)
-    size = dd.n - 1
-    if size == 0:
-        return IntLaurent.from_int_coeffs({0: 1})
-    # the rows of the crossing matrix at t = B, crossing by crossing, with
-    # the last crossing's row and the last arc's column dropped
-    base = 2 * 4 ** size + 1
+    column = [-1] * m  # per arc: its chain's row, or -1 if it passes over nothing
+    for o, _ in passes:
+        column[o] = 0
+    chains = []  # per chain: in-arc, [(over arc, sign) per step]
+    i = passes[0][0]
+    for _ in range(m):
+        if column[i] >= 0:
+            column[i] = len(chains)
+            steps: List[Tuple[int, int]] = []
+            chains.append((i, steps))
+        steps.append(passes[i])
+        i = (i + 1) % m
+    size = len(chains) - 1  # the last row and the last chain's column dropped
+    base = 1
+    for _, steps in chains[:size]:
+        base *= 2 * len(steps) + 2
+    base = 2 * base + 1
     mat = [[0] * size for _ in range(size)]
-    for row, (out_arc, in_arc, over_arc, sign) in zip(mat, rels):
-        if sign > 0:
-            cells = ((over_arc, 1 - base), (in_arc, base), (out_arc, -1))
-        else:
-            cells = ((over_arc, base - 1), (in_arc, 1), (out_arc, -base))
-        for col, value in cells:
+    for row, (start, steps) in zip(mat, chains):
+        p = top = 0
+        for _, s in steps:
+            p += s
+            if p > top:
+                top = p
+        # walking the chain, e = top - P_k and x = B^e after step k
+        e = top
+        x = base ** e
+        row[column[start]] += x
+        for o, s in steps:
+            e -= s
+            y = base ** e
+            col = column[o]
             if col < size:
-                row[col] += value
+                row[col] += y - x
+            x = y
+        col = column[(start + len(steps)) % m]
+        if col < size:
+            row[col] -= x
     return _normalize(_balanced_digits(_int_det(mat), base))
+
+
+# The tangle's sub-crossing of each pair of strands.
+_SUB_CROSSING = {frozenset(TANGLE_STRANDS[x]): x for x in "abc"}
+# Per height word and ordered strand pair ``3 j + k``: 0 when strand ``j``
+# passes over strand ``k``, else the sign of their double crossing with both
+# strands in the natural direction (slots 0, 2, 4 incoming).
+_PASSES_UNDER = {
+    w: tuple(local_crossing_sign(_SUB_CROSSING[frozenset((j, k))], w)
+             if j != k and HEIGHT_RANK[w[j]] < HEIGHT_RANK[w[k]] else 0
+             for j in range(3) for k in range(3))
+    for w in map("".join, permutations("TMB"))
+}
+
+
+@lru_cache(maxsize=2)
+def _meetings(alpha: Tuple[int, ...], n: int) -> Tuple[Tuple[int, int, int, int], ...]:
+    """The double crossings met along one strand walk of the knot projection
+    ``alpha``, in walk order, as ``(triple crossing, double crossing, 3 j + k,
+    direction)``: strand ``j`` walking meets strand ``k`` at double crossing
+    ``3 t + i`` (sub-crossing ``"abc"[i]`` of triple crossing ``t``), and
+    ``direction`` is the product of the two strands' directions, +1 where
+    a strand runs in the natural direction.  A projection that is not
+    spherical, or not one curve, raises :class:`DiagramError`.
+
+    In the natural direction strand ``j`` meets strand ``j - 1`` and then
+    ``j + 1``; it runs naturally exactly when it leaves through its odd slot.
+    The census reads the height words of one projection in a row, so a
+    small cache suffices."""
+    p = TripleProjection(alpha, n)
+    p.validate()
+    walks = p.walks()
+    if len(walks) > 1:
+        raise DiagramError("not a knot: more than one component")
+    order = walks[0] if walks else []
+    tails = set(order)
+    # direction of each strand k at triple crossing t: its odd slot is k or k + 3
+    direction = [[1 if 6 * t + (k if k % 2 else k + 3) in tails else -1 for k in range(3)]
+                 for t in range(n)]
+    out = []
+    for d in order:
+        t, j = d // 6, d % 6 % 3
+        sense = direction[t][j]
+        for k in ((j - sense) % 3, (j + sense) % 3):
+            out.append((t, 3 * t + "abc".index(_SUB_CROSSING[frozenset((j, k))]),
+                        3 * j + k, sense * direction[t][k]))
+    return tuple(out)
+
+
+def _triple_passes(diagram: TripleDiagram) -> List[Tuple[int, int]]:
+    """The under-passages of the deconstruction of ``diagram``, read off one
+    strand walk of its projection: a new arc begins after each one, and a
+    double crossing walked over lies on the arc begun last (mod ``3 n``)."""
+    m = 3 * diagram.n
+    heights = diagram.heights
+    arc = 0
+    over_arc = [0] * m
+    unders = []
+    for t, x, pair, direction in _meetings(diagram.alpha, diagram.n):
+        s = _PASSES_UNDER[heights[t]][pair]
+        if s:
+            unders.append((x, s * direction))
+            arc += 1
+        else:
+            over_arc[x] = arc
+    return [(over_arc[x] % m, s) for x, s in unders]
+
+
+def alexander(diagram: Union[TripleDiagram, DoubleDiagram]) -> IntLaurent:
+    """Normalised Alexander polynomial of a knot diagram, triple or double."""
+    if isinstance(diagram, TripleDiagram):
+        return _chain_alexander(_triple_passes(diagram))
+    passes = [(0, 0)] * diagram.n
+    for _, in_arc, over_arc, sign in _wirtinger(diagram) if diagram.n else ():
+        passes[in_arc] = (over_arc, sign)
+    return _chain_alexander(passes)
 
 
 def _normalize(poly: Dict[int, int]) -> IntLaurent:

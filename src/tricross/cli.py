@@ -82,6 +82,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         return _error("input is a bare projection; invariants need heights")
     v = jones_triple(obj)
     dd = convert_to_double(obj)
+    # off the deconstruction, not the triple walk the census reads, so a
+    # class key re-derived here checks the census's Alexander independently
     a = alexander(dd)
     record = {
         "jones": str(v),

@@ -409,9 +409,9 @@ class ClassifyRun:
 
 
 def _project_classes(p: TripleProjection, n: int) -> Iterator[tuple]:
-    """(folded Jones, Alexander), unfolded code and deconstruction of each
-    mirror class of diagrams on one projection, one class at a time, read
-    off the class's first member in height-word order.
+    """(folded Jones, Alexander), unfolded code and diagram of each mirror
+    class of diagrams on one projection, one class at a time, read off the
+    class's first member in height-word order.
 
     A diagram's mirror views are its T <-> B swap's own views, so a mirror
     class holds the diagrams of one unfolded code and of its swap's code.
@@ -426,8 +426,8 @@ def _project_classes(p: TripleProjection, n: int) -> Iterator[tuple]:
             firsts.append((words, code))
     jones = jones_triple_batch(p, [words for words, _ in firsts])
     for (words, code), v in zip(firsts, jones):
-        dd = convert_to_double(TripleDiagram(p, words))
-        yield (fold_jones(v), str(alexander(dd))), code, dd
+        d = TripleDiagram(p, words)
+        yield (fold_jones(v), str(alexander(d))), code, d
 
 
 def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
@@ -441,10 +441,11 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
 
     A diagram and its mirror image have the same folded Jones, Alexander
     and folded F (F's mirror is a -> 1/a), so the census reads one record
-    per mirror class from ``_project_classes``: Jones, the deconstruction
-    and Alexander run 177 times for the 351 distinct diagrams at n <= 3.
-    F runs on each record whose (Jones, Alexander) pair is first realized
-    at the current n: 257 evaluations at n = 4, for 497 of the 4,967
+    per mirror class from ``_project_classes``: Jones and Alexander, both
+    read off the triple diagram, run 177 times for the 351 distinct
+    diagrams at n <= 3.  F runs on each record whose (Jones, Alexander)
+    pair is first realized at the current n, and only those records are
+    deconstructed: 257 evaluations at n = 4, for 497 of the 4,967
     nontrivial diagrams, counted in ``kauffman_evals_per_n`` once the n
     finishes.  A diagram whose pair was already realized at a smaller n
     joins that pair's classes unrefined, so a second knot hiding behind an
@@ -479,10 +480,10 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
             for p in projections:
                 if deadline is not None and time.monotonic() > deadline:
                     raise BudgetExceeded("time budget exhausted", [], None, n, "classify")
-                for pair, code, dd in _project_classes(p, n):
+                for pair, code, d in _project_classes(p, n):
                     if pair == unknot_pair or pair in older_pairs:
                         continue
-                    key = pair + (fold_kauffman(kauffman_f(dd)),)
+                    key = pair + (fold_kauffman(kauffman_f(convert_to_double(d))),)
                     evals += 1
                     if key not in run.classes:
                         run.classes[key] = KnotClass(

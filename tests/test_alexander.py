@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -18,11 +18,13 @@ from tricross import (
 )
 from tricross.alexander import _balanced_digits, _int_det, _normalize, _wirtinger
 from tricross.canon import canonical_diagram_code
-from tricross.enumeration import HEIGHT_WORDS, enumerate_projections
+from tricross.enumeration import HEIGHT_WORDS, enumerate_projections, enumerate_raw_shadows
 from tricross.laurent import HalfLaurent, Laurent2
 from tricross.quotients import wirtinger_relations
 from conftest import (
     PD_FIG8, PD_KINK, PD_TREFOIL, T2_1, T2_2, W_41_41_SPLIT, W_51_SPLIT, W_SQUARE)
+from test_acceptance import N5_TOKEN_BEFORE_FIRST_PRIME
+from test_canon import relabel
 
 D_TREFOIL = IntLaurent.from_int_coeffs({-1: 1, 0: -1, 1: 1})
 D_FIG8 = IntLaurent.from_int_coeffs({-1: -1, 0: 3, 1: -1})
@@ -66,14 +68,17 @@ def test_symmetry_and_normalization_enforced():
 
 @pytest.mark.parametrize("size", [1, 3, 11])
 def test_balanced_digits_round_trip_at_the_coefficient_bound(size):
-    # coefficients of det M(t) lie in [-4^size, 4^size]; both ends and
-    # negative digits must decode exactly at B = 2 * 4^size + 1
-    bound = 4 ** size
-    base = 2 * bound + 1
+    # a size x size minor whose rows merge L_1 .. L_size relations: det M(t)
+    # has degree at most sum L and coefficients in [-prod(2 L + 2),
+    # prod(2 L + 2)]; both ends and negative digits must decode exactly at
+    # B = 2 * prod(2 L + 2) + 1
     rng = random.Random(size)
     for _ in range(50):
+        lengths = [rng.randint(1, 6) for _ in range(size)]
+        bound = prod(2 * length + 2 for length in lengths)
+        base = 2 * bound + 1
         coeffs = [rng.choice((-bound, bound, rng.randint(-bound, bound), 0))
-                  for _ in range(size + 1)]
+                  for _ in range(sum(lengths) + 1)]
         value = sum(c * base ** e for e, c in enumerate(coeffs))
         assert _balanced_digits(value, base) == {e: c for e, c in enumerate(coeffs) if c}
 
@@ -185,11 +190,15 @@ def _reference_alexander(dd):
 
 
 def _agrees_with_reference(d):
+    """Alexander off the triple diagram and off its deconstruction both
+    equal the reference on the deconstruction; returns it."""
     dd = convert_to_double(d)
     for tails in dd.orientations():
         assert _wirtinger(dd, tails) == _reference_wirtinger(dd, tails)
-    a, ref = alexander(dd), _reference_alexander(dd)
-    assert (a, str(a), repr(a)) == (ref, str(ref), repr(ref))
+    ref = _reference_alexander(dd)
+    for a in (alexander(d), alexander(dd)):
+        assert (a, str(a), repr(a)) == (ref, str(ref), repr(ref))
+    return ref
 
 
 def test_alexander_matches_the_reference_on_every_diagram_up_to_three(projections_n3):
@@ -210,3 +219,36 @@ def test_alexander_matches_the_reference_on_seeded_words_at_four():
     for p in enumerate_projections(4):
         for _ in range(12):
             _agrees_with_reference(TripleDiagram(p, [rng.choice(HEIGHT_WORDS) for _ in range(4)]))
+
+
+def test_alexander_matches_the_reference_on_seeded_words_at_five():
+    # the full n = 5 search takes minutes: seeded prime shadows among the
+    # first 300 it yields from a resume token, and seeded words on each
+    shadows = [p for p in itertools.islice(
+        enumerate_raw_shadows(5, resume_token=N5_TOKEN_BEFORE_FIRST_PRIME), 300)
+        if p.is_prime()]
+    rng = random.Random(5)
+    polys = set()
+    for p in rng.sample(shadows, 8):
+        for _ in range(25):
+            polys.add(str(_agrees_with_reference(
+                TripleDiagram(p, [rng.choice(HEIGHT_WORDS) for _ in range(5)]))))
+    assert len(polys) > 10
+
+
+def test_alexander_matches_the_reference_under_relabelling(projections_n3):
+    # renamed crossings, rotated slots and reflections; an odd rotation or
+    # a reflection swaps the slots a strand enters and leaves by, and so
+    # flips the strand directions the triple route reads its signs from
+    rng = random.Random(29)
+    projections = projections_n3[2] + projections_n3[3] + enumerate_projections(4)
+    odd = 0
+    for _ in range(200):
+        p = rng.choice(projections)
+        words = [rng.choice(HEIGHT_WORDS) for _ in range(p.n)]
+        rots = [rng.randrange(6) for _ in range(p.n)]
+        reflect = rng.random() < 0.5
+        odd += reflect or any(r % 2 for r in rots)
+        q = relabel(p, rng.sample(range(p.n), p.n), rots, reflect, words)
+        assert _agrees_with_reference(q) == alexander(TripleDiagram(p, words))
+    assert odd > 150

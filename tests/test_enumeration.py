@@ -342,7 +342,8 @@ def test_enumerate_diagrams_counts_distinct_diagrams():
 
 def test_classify_canonicalises_each_word_once(monkeypatch):
     # 36 + 2 * 216 height words on the n <= 3 projections, 21 + 330 of them
-    # distinct diagrams in 177 mirror classes
+    # distinct diagrams in 177 mirror classes; Alexander reads each class off
+    # its triple diagram, and only the classes F runs on are deconstructed
     calls = Counter()
 
     def counted(name, fn, size=lambda *args: 1):
@@ -356,8 +357,9 @@ def test_classify_canonicalises_each_word_once(monkeypatch):
     counted("alexander", alexander)
     counted("jones_triple_batch", enumeration.jones_triple_batch,
             lambda p, words: len(words))
-    classify(3)
-    assert calls == {"canonical_diagram_code": 468, "convert_to_double": 177,
+    run = classify(3)
+    assert sum(run.kauffman_evals_per_n.values()) == 6
+    assert calls == {"canonical_diagram_code": 468, "convert_to_double": 6,
                      "alexander": 177, "jones_triple_batch": 177}
 
 
@@ -395,12 +397,12 @@ def test_alexander_is_mirror_invariant(projections_n4):
         assert _alexander_string(d) == _alexander_string(mirror)
 
 
-def test_project_classes_deconstructs_once_per_mirror_class(projections_n4):
+def test_project_classes_reads_one_record_per_mirror_class(projections_n4):
     """``_project_classes`` against a per-class reference: one record per
     class of ``canonical_diagram_code(d, fold_mirror=True)``, in the order
     of the classes' first members, with the first member's code and
-    deconstruction; and every distinct diagram has its class's pair, the
-    mirror invariance the stage relies on.  Every distinct diagram at
+    diagram; and every distinct diagram has its class's pair, the mirror
+    invariance the stage relies on.  Every distinct diagram at
     n <= 3; at n = 4, two seeded projections, with the pairs checked on 40
     seeded distinct diagrams each."""
     rng = random.Random(23)
@@ -415,8 +417,7 @@ def test_project_classes_deconstructs_once_per_mirror_class(projections_n4):
             first.setdefault(key, i)
         got = list(enumeration._project_classes(p, p.n))
         assert [code for _, code, _ in got] == [reference[i][1] for i in first.values()]
-        for i, (_, _, dd) in zip(first.values(), got):
-            assert dd.alpha == convert_to_double(diagrams[i]).alpha
+        assert [d for _, _, d in got] == [diagrams[i] for i in first.values()]
         pair = {key: record[0] for key, record in zip(first, got)}
         checked = range(len(diagrams)) if sample is None else rng.sample(range(len(diagrams)), sample)
         for i in checked:
@@ -621,9 +622,10 @@ def test_census_n4_kauffman_sweep_of_every_diagram(run_n4, reference):
     unknot = (fold_jones(HalfLaurent.one()), str(IntLaurent.from_int_coeffs({0: 1})))
     fs_by_pair = {}
     for p in enumerate_projections(4):
-        for pair, _, dd in enumeration._project_classes(p, 4):
+        for pair, _, d in enumeration._project_classes(p, 4):
             if pair != unknot:
-                fs_by_pair.setdefault(pair, set()).add(fold_kauffman(kauffman_f(dd)))
+                fs_by_pair.setdefault(pair, set()).add(
+                    fold_kauffman(kauffman_f(convert_to_double(d))))
     split = {pair for pair, fs in fs_by_pair.items() if len(fs) > 1}
     assert len(split) == 2
     swept = {pair + (f,) for pair, fs in fs_by_pair.items() for f in fs}
