@@ -4,9 +4,11 @@ Two independent routes compute V(K):
 
 * :func:`jones_triple` resolves every triple crossing directly into the five
   non-crossing matchings of its six ends, with per-matching coefficients
-  produced symbolically by :func:`derive_triple_relation`.  The sum over
-  the 5^n resolutions is a Kronecker contraction: the loop-count vector of
-  the projection, packed into ints whose digits are wide enough for every
+  produced symbolically by :func:`derive_triple_relation`.  The loop counts
+  of the 5^n resolutions come from one depth-first pass that joins open
+  paths three chords at a time (:func:`_state_loop_counts`).  The sum over
+  the resolutions is a Kronecker contraction: the loop-count vector of the
+  projection, packed into ints whose digits are wide enough for every
   coefficient (at most ``5^n 2^(3n - 1)``), is contracted one crossing at a
   time with the exponent row of its height word, and
   :func:`jones_triple_batch` shares the contractions of common word
@@ -14,7 +16,8 @@ Two independent routes compute V(K):
 * :func:`bracket_jones` is the classical Kauffman bracket with writhe
   normalisation, evaluated on a deconstructed double diagram.  Its state
   sum, :func:`kauffman_bracket`, contracts the diagram one crossing at a
-  time along a boundary and reads nothing but the diagram's gluing: it
+  time along a boundary, with one packed Laurent polynomial in A per
+  group of partial states, and reads nothing but the diagram's gluing: it
   calls no tangle or skein code, and :func:`derive_triple_relation` does
   not call it.
 
@@ -30,7 +33,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .alexander import _balanced_digits
 from .laurent import HalfLaurent
-from .maps import DiagramError, DoubleDiagram, TripleDiagram, TripleProjection
+from .maps import DiagramError, DoubleDiagram, TripleDiagram, TripleProjection, _cycles
 from .tangle import local_tangle, local_writhe
 
 Matching = FrozenSet[FrozenSet[int]]
@@ -113,21 +116,45 @@ def kauffman_bracket(dd: DoubleDiagram) -> Dict[int, int]:
     are added one at a time (:func:`_contraction_order`); the open ends are
     the placed darts whose ``alpha`` partner is not placed yet, and the
     partial states are grouped by how their arcs match the open ends up.
-    Each group keeps the number of its states per (A-exponent, closed
-    loops).  Adding a crossing follows each arc of each of its smoothings
-    through that matching; an arc that comes back to itself closes a loop.
-    The contraction reads only the diagram's gluing, not the triple-crossing
+    Adding a crossing follows each arc of each of its smoothings through
+    that matching; an arc that comes back to itself closes a loop.  The
+    contraction reads only the diagram's gluing, not the triple-crossing
     relation, so it stays an independent check on :func:`jones_triple`.
+
+    Each group carries one Laurent polynomial in A, the sum over its states
+    of ``A^a delta^l`` for ``a`` the A-exponent and ``l`` the loops closed so
+    far, with ``delta = -A^2 - A^-2``.  It is packed into one int by
+    Kronecker substitution, the coefficient of ``A^e`` as the base-``2^bits``
+    digit at place ``e + offset``: a smoothing shifts it by one place, and
+    each loop that closes multiplies it by ``delta``, a shift-and-add.  A
+    full state closes all its loops, at least one, so the sum is ``delta``
+    times the bracket; dividing by ``delta = -A^-2 (A^4 + 1)`` is one exact
+    integer division by ``2^(4 bits) + 1`` and a shift.
+
+    Bounds: take the graph whose vertices are a state's loops and whose
+    edges are the m crossings, each joining the loops through its two arcs.
+    It has as many components as the diagram's crossing graph, ``k``, so a
+    state has at most ``L = m + k`` loops (``m + 1`` for a knot diagram).
+    Every coefficient is then at most ``2^m 2^L``, a sum of at most 2^m
+    terms each bounded by the sum of the coefficients of ``delta^L`` in
+    magnitude, and ``bits = m + L + 2`` keeps it below half the base, so
+    the balanced digits of the result are exactly its coefficients.  Every
+    exponent is at least ``-m - 2 L``, so with ``offset = m + 2 L`` no place
+    is negative and every right shift is exact.  For a knot diagram this
+    is ``2m + 3`` bits and an offset of ``3m + 2``.
     """
     m = dd.n
     if m == 0:
         return {0: 1}
     alpha = dd.alpha
+    most_loops = m + len(dd.crossing_components())
+    bits = m + most_loops + 2
+    offset = m + 2 * most_loops
     placed = [False] * m
     # open ends, in the same order for every group
     frontier: List[int] = []
-    # partner of each open end -> {(A-exponent, closed loops): states}
-    groups: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {(): {(0, 0): 1}}
+    # partner of each open end -> the group's packed polynomial
+    groups: Dict[Tuple[int, ...], int] = {(): 1 << bits * offset}
     for c in _contraction_order(alpha, m):
         at = {e: i for i, e in enumerate(frontier)}
         kept = [i for i, e in enumerate(frontier) if alpha[e] >> 2 != c]
@@ -135,8 +162,8 @@ def kauffman_bracket(dd: DoubleDiagram) -> Dict[int, int]:
                  if not placed[alpha[d] >> 2] and alpha[d] >> 2 != c]
         new_frontier = [frontier[i] for i in kept] + fresh
         new_at = {e: i for i, e in enumerate(new_frontier)}
-        nxt: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
-        for match, counts in groups.items():
+        nxt: Dict[Tuple[int, ...], int] = {}
+        for match, poly in groups.items():
             # where the strand leaving slot s outward arrives: another slot
             # of c (via[s]), or an open end that stays open (end[s])
             via: List[int] = [-1] * 4
@@ -169,37 +196,31 @@ def kauffman_bracket(dd: DoubleDiagram) -> Dict[int, int]:
                         t = via[u]
                     partner[new_at[end[s]]] = end[u]
                     partner[new_at[end[u]]] = end[s]
-                loops = 0
+                value = poly << bits if a_step > 0 else poly >> bits
                 for s in range(4):
                     if seen[s]:
                         continue
-                    loops += 1
+                    value = -((value << 2 * bits) + (value >> 2 * bits))
                     t = s
                     while not seen[t]:
                         u = inner[t]
                         seen[t] = seen[u] = True
                         t = via[u]
-                acc = nxt.setdefault(tuple(partner), {})
-                for (a_exp, closed), k in counts.items():
-                    key = (a_exp + a_step, closed + loops)
-                    acc[key] = acc.get(key, 0) + k
+                key = tuple(partner)
+                nxt[key] = nxt.get(key, 0) + value
         groups = nxt
         placed[c] = True
         frontier = new_frontier
-    # expand each count times A^a_exp (-A^2 - A^-2)^(loops - 1)
-    (counts,) = groups.values()
-    total: Dict[int, int] = {}
-    for (a_exp, loops), k in counts.items():
-        poly = {a_exp: k}
-        for _ in range(loops - 1):
-            nxt_poly: Dict[int, int] = {}
-            for e, v in poly.items():
-                for de in (2, -2):
-                    nxt_poly[e + de] = nxt_poly.get(e + de, 0) - v
-            poly = nxt_poly
-        for e, v in poly.items():
-            total[e] = total.get(e, 0) + v
-    return {e: v for e, v in total.items() if v}
+    (value,) = groups.values()
+    return _unpack_bracket(value, bits, offset)
+
+
+def _unpack_bracket(value: int, bits: int, offset: int) -> Dict[int, int]:
+    """The bracket from ``delta <D>`` packed at ``bits`` and ``offset``:
+    ``delta = -A^-2 (A^4 + 1)``, so one exact division by ``2^(4 bits) + 1``
+    leaves ``-A^-2 <D>``."""
+    digits = _balanced_digits(value // ((1 << 4 * bits) + 1), 1 << bits)
+    return {place - offset + 2: -v for place, v in digits.items()}
 
 
 def _bracket_to_half_laurent(bracket: Dict[int, int], writhe: int) -> HalfLaurent:
@@ -355,33 +376,59 @@ def derive_triple_relation() -> TripleRelation:
 # ---------------------------------------------------------------------------
 
 
+# per matching index, its three chords as slot pairs
+_CHORDS = [tuple((s, t) for s, t in enumerate(q) if s < t) for q in _PARTNERS]
+# how the open paths join six slots up (slot -> slot) -> the loops each
+# matching closes there: a loop is two orbits of the matching after the paths
+_LAST_LOOPS = {
+    paths: tuple(len(_cycles([q[t] for t in paths])) // 2 for q in _PARTNERS)
+    for paths in itertools.permutations(range(6))
+    if all(paths[s] != s and paths[paths[s]] == s for s in range(6))
+}
+
+
 def _state_loop_counts(proj: TripleProjection) -> List[int]:
     """Loop count of every full resolution of a projection, in the order of
     ``itertools.product(range(5), repeat=n)`` over matching indices.
+
+    The crossings are resolved depth first, crossing 0 outermost.  ``end``
+    maps each end of an open path to its other end, starting as ``alpha``
+    (every edge a path).  Each chord of a matching at crossing ``c`` either
+    closes a loop, when its two darts end one path, or joins two paths into
+    one; the joins are undone on the way back.  At the last crossing every
+    open path runs between two of its slots, and :data:`_LAST_LOOPS` gives
+    the five loop counts at once.
 
     Height-independent, so batch evaluation over many height words of the
     same projection shares this table.
     """
     n = proj.n
-    alpha = proj.alpha
-    out = []
-    for state in itertools.product(range(5), repeat=n):
-        partners = [_PARTNERS[mi] for mi in state]
-        seen = [False] * (6 * n)
-        loops = 0
-        for start in range(6 * n):
-            if seen[start]:
-                continue
-            loops += 1
-            # alternate the pairing and the state's matching until the loop closes
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                e = alpha[d]
-                seen[e] = True
-                c = e // 6
-                d = 6 * c + partners[c][e - 6 * c]
-        out.append(loops)
+    end = list(proj.alpha)
+    last = 6 * (n - 1)
+    out: List[int] = []
+
+    def resolve(base: int, loops: int) -> None:
+        if base == last:
+            paths = tuple([e - base for e in end[base:base + 6]])
+            out.extend([loops + k for k in _LAST_LOOPS[paths]])
+            return
+        for chords in _CHORDS:
+            closed = loops
+            joined = []
+            for s, t in chords:
+                a, b = base + s, base + t
+                x = end[a]
+                if x == b:
+                    closed += 1
+                else:
+                    y = end[b]
+                    end[x], end[y] = y, x
+                    joined.append((x, a, y, b))
+            resolve(base + 6, closed)
+            for x, a, y, b in reversed(joined):
+                end[x], end[y] = a, b
+
+    resolve(0, 0)
     return out
 
 
@@ -432,19 +479,23 @@ def jones_triple_batch(
 
     Words that share a prefix share the contractions of that prefix: all
     6^n words of a projection take at most ``5 n 6^n`` shift-adds.
+
+    A projection that is disconnected, not spherical or not one curve
+    raises :class:`DiagramError`, once per call.
     """
+    proj.validate()
+    if proj.num_components() != 1:
+        raise DiagramError("not a knot: more than one component")
     n = proj.n
     exponents = derive_triple_relation().exponents
     bits = (5 ** n << (3 * n - 1)).bit_length() + 1
     shifts = {w: [bits * (e + 3) for e in row] for w, row in exponents.items()}
-    sign = -1 if n % 2 else 1
-    packed: Dict[int, int] = {}
-    vec = []
-    for loops in _state_loop_counts(proj):
-        if loops not in packed:
-            packed[loops] = sum(sign * v << bits * (e2 + 3 * n - 1)
-                                for e2, v in (LOOP_FACTOR ** (loops - 1)).coeffs.items())
-        vec.append(packed[loops])
+    # (-1)^n LOOP_FACTOR^(L - 1), packed, for L = 1 .. 3n: each factor
+    # -t^(1/2) - t^(-1/2) is a shift-and-add
+    powers = [(-1) ** n << bits * (3 * n - 1)]
+    for _ in range(3 * n - 1):
+        powers.append(-((powers[-1] << bits) + (powers[-1] >> bits)))
+    vec = [powers[loops - 1] for loops in _state_loop_counts(proj)]
     # word prefix -> the table with that prefix's axes contracted
     partial: Dict[Tuple[str, ...], List[int]] = {(): vec}
     results = []

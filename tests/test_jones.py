@@ -16,8 +16,9 @@ from tricross import (
     kauffman_bracket,
     parse_spd,
 )
-from tricross.enumeration import HEIGHT_WORDS
-from tricross.jones import LOOP_FACTOR, NONCROSSING
+from tricross.alexander import _balanced_digits
+from tricross.enumeration import HEIGHT_WORDS, enumerate_raw_shadows
+from tricross.jones import LOOP_FACTOR, NONCROSSING, _state_loop_counts, _unpack_bracket
 from tricross.tables import (
     BRAID_KNOTS,
     RATIONAL_KNOTS,
@@ -25,6 +26,7 @@ from tricross.tables import (
     rational_knot_pd,
 )
 from conftest import PD_FIG8, PD_KINK, PD_TREFOIL, T2_1, T2_2
+from test_acceptance import N5_TOKEN_BEFORE_FIRST_PRIME
 from test_canon import relabel
 
 V_TREFOIL = {2: 1, 6: 1, 8: -1}          # t + t^3 - t^4  (exp2 keys)
@@ -120,6 +122,72 @@ def test_kauffman_bracket_equals_the_plain_state_sum():
     assert checked == 6 + 36 + 40 + 5 + len(RATIONAL_KNOTS) + len(BRAID_KNOTS)
 
 
+def _times(p, q):
+    """Product of two Laurent polynomials given as exponent -> coefficient."""
+    out = {}
+    for e1, v1 in p.items():
+        for e2, v2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def _split(*parts):
+    """The parts side by side in one diagram, crossings numbered in order."""
+    alpha = []
+    for dd in parts:
+        alpha += [a + len(alpha) for a in dd.alpha]
+    return DoubleDiagram(alpha, len(alpha) // 4)
+
+
+def test_kauffman_bracket_of_split_diagrams():
+    # <D1 D2> = delta <D1> <D2> side by side; each part can add a loop to a
+    # state, so the packing widens its digits and its offset per part
+    trefoil, fig8, kink, mirror_kink = (DoubleDiagram.from_pd(pd) for pd in (
+        PD_TREFOIL, PD_FIG8, PD_KINK, [[1, 1, 2, 2]]))
+    # three mirror kinks: the 1/A state has the most loops, 6, and its term
+    # A^-3 delta^6 the lowest exponent, -15, that three crossings can reach
+    for parts in ((trefoil, fig8), (mirror_kink,) * 3, (fig8, kink, trefoil, mirror_kink)):
+        dd = _split(*parts)
+        assert len(dd.crossing_components()) == len(parts)
+        want = kauffman_bracket(parts[0])
+        for part in parts[1:]:
+            want = _times(_times(want, kauffman_bracket(part)), {2: -1, -2: -1})
+        assert kauffman_bracket(dd) == _reference_bracket(dd) == want
+
+
+def test_kauffman_bracket_on_seeded_n4_deconstructions(projections):
+    # twelve crossings, the most the n <= 4 census deconstructs
+    rng = random.Random(19)
+    for p in rng.sample(projections[4], 3):
+        dd = convert_to_double(TripleDiagram(p, [rng.choice(HEIGHT_WORDS) for _ in range(4)]))
+        assert dd.n == 12
+        assert kauffman_bracket(dd) == _reference_bracket(dd)
+
+
+@pytest.mark.parametrize("m, parts", [(1, 1), (4, 1), (12, 1), (15, 1), (6, 3)])
+def test_bracket_packing_round_trip_at_its_bounds(m, parts):
+    # kauffman_bracket packs delta <D> for m crossings in `parts` parts: a
+    # state has at most L = m + parts loops, the exponents lie in
+    # [-m - 2 L, m + 2 L] and the coefficients in [-2^m 2^L, 2^m 2^L], at
+    # m + L + 2 bits and offset m + 2 L (2m + 3 and 3m + 2 for a knot); the
+    # digits at both ends, and negative ones, must come back exactly, and
+    # so must <D> after the division by delta
+    most = m + parts
+    bits, offset = m + most + 2, m + 2 * most
+    bound = 1 << m + most - 1  # on the coefficients of <D>
+    rng = random.Random(m)
+    for _ in range(50):
+        bracket = {e: rng.choice((-bound, bound, rng.randint(-bound, bound), 0))
+                   for e in range(2 - offset, offset - 1)}
+        bracket[2 - offset] = rng.choice((-bound, bound))
+        bracket[offset - 2] = rng.choice((-bound, bound))
+        summed = _times(bracket, {2: -1, -2: -1})
+        assert max(map(abs, summed.values())) <= 1 << m + most
+        value = sum(v << bits * (e + offset) for e, v in summed.items())
+        assert _balanced_digits(value, 1 << bits) == {e + offset: v for e, v in summed.items()}
+        assert _unpack_bracket(value, bits, offset) == {e: v for e, v in bracket.items() if v}
+
+
 def test_jones_triple_fixtures():
     assert jones_triple(parse_spd(T2_1)) in (
         HalfLaurent(V_TREFOIL), HalfLaurent(V_TREFOIL).invert_t())
@@ -169,6 +237,36 @@ def test_triple_vs_bracket_on_random_n3_diagrams():
             words = [rng.choice(words_all) for _ in range(3)]
             d = TripleDiagram(p, words)
             assert jones_triple(d) == bracket_jones(convert_to_double(d))
+
+
+def _reference_loop_counts(proj):
+    """Loop count of each resolution, in the order of
+    ``itertools.product(range(5), repeat=n)``: one walk of all 6n darts per
+    state, alternating the pairing and the state's matchings."""
+    n = proj.n
+    partners = []
+    for m in NONCROSSING:
+        out = [0] * 6
+        for s, t in (tuple(pair) for pair in m):
+            out[s], out[t] = t, s
+        partners.append(out)
+    counts = []
+    for state in itertools.product(range(5), repeat=n):
+        seen = [False] * (6 * n)
+        loops = 0
+        for start in range(6 * n):
+            if seen[start]:
+                continue
+            loops += 1
+            d = start
+            while not seen[d]:
+                seen[d] = True
+                e = proj.alpha[d]
+                seen[e] = True
+                c = e // 6
+                d = 6 * c + partners[state[c]][e - 6 * c]
+        counts.append(loops)
+    return counts
 
 
 def _reference_jones_triple_batch(proj, height_words):
@@ -249,3 +347,16 @@ def test_single_diagram_contraction_equals_the_state_sum(projections):
                             reflect, [w.translate(swap) if reflect else w for w in d.heights])
                 (want,) = _reference_jones_triple_batch(e.projection, [e.heights])
                 assert jones_triple(e) == want == jones_triple(d)
+
+
+def test_loop_counts_equal_the_walk_of_every_state(projections):
+    # every projection at n <= 4, and seeded prime shadows at n = 5 taken
+    # as the Alexander tests take them, from a resume token
+    shadows = [p for p in itertools.islice(
+        enumerate_raw_shadows(5, resume_token=N5_TOKEN_BEFORE_FIRST_PRIME), 300)
+        if p.is_prime()]
+    checked = [p for n in (1, 2, 3, 4) for p in projections[n]]
+    checked += random.Random(5).sample(shadows, 8)
+    for p in checked:
+        assert _state_loop_counts(p) == _reference_loop_counts(p)
+    assert len(checked) == 1 + 1 + 2 + len(projections[4]) + 8
