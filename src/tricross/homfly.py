@@ -7,10 +7,10 @@ component, switches the first crossing whose first visit is on the
 under-strand, and smooths it along the orientation; a diagram with no such
 crossing is descending and therefore an unlink.  The oriented smoothing joins
 each incoming dart to the outgoing dart beside it: the slot parity ``p = 1``
-of :func:`tricross.skein.smooth` where the shadow's sign (before any switch)
-is +1, and ``p = 0`` where it is -1.  Every state is first reduced by
-Reidemeister I and same-level II moves, which leave HOMFLY unchanged, so the
-engine's kink writhe is ignored.
+of :meth:`tricross.skein.Engine.smoothed` where the shadow's sign (before
+any switch) is +1, and ``p = 0`` where it is -1.  Every state is first
+reduced by Reidemeister I and same-level II moves, which leave HOMFLY
+unchanged, so the engine's kink writhe is ignored.
 
 Work is bounded by an explicit budget on skein-tree nodes; exceeding it (or
 starting from a diagram of more than 16 crossings) raises ``BudgetError``.

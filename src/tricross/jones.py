@@ -447,8 +447,6 @@ def jones_triple(diagram: TripleDiagram) -> HalfLaurent:
     """V(K) from the triple-crossing state sum: the packed loop-count
     vector contracted one crossing at a time with its exponent row, in
     digits wide enough for ``5^n 2^(3n - 1)`` (see :func:`jones_triple_batch`)."""
-    if diagram.n == 0:
-        return HalfLaurent.one()
     return jones_triple_batch(diagram.projection, [diagram.heights])[0]
 
 
@@ -481,12 +479,15 @@ def jones_triple_batch(
     6^n words of a projection take at most ``5 n 6^n`` shift-adds.
 
     A projection that is disconnected, not spherical or not one curve
-    raises :class:`DiagramError`, once per call.
+    raises :class:`DiagramError`, once per call.  On the crossingless
+    projection every (empty) word gives the unknot's 1.
     """
     proj.validate()
     if proj.num_components() != 1:
         raise DiagramError("not a knot: more than one component")
     n = proj.n
+    if n == 0:
+        return [HalfLaurent.one() for _ in height_words]
     exponents = derive_triple_relation().exponents
     bits = (5 ** n << (3 * n - 1)).bit_length() + 1
     shifts = {w: [bits * (e + 3) for e in row] for w, row in exponents.items()}

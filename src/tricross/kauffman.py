@@ -16,7 +16,7 @@ diagram whose every crossing is first reached on its over-strand is a stack
 of curled unknots; its Lambda is ``delta^(k-1)`` times ``a`` to the sum of
 self-writhes.  Otherwise the first offending crossing is switched (toward
 descending) and smoothed both ways: its two smoothings are the slot parities
-``p = 0`` and ``p = 1`` of :func:`tricross.skein.smooth`.
+``p = 0`` and ``p = 1`` of :meth:`tricross.skein.Engine.smoothed`.
 """
 
 from __future__ import annotations

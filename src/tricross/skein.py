@@ -17,7 +17,10 @@ Every state is first reduced (:func:`reduce`): Reidemeister I kinks and
 Reidemeister II bigons whose one strand is over at both crossings are
 removed until none is left (Ewing and Millett 1997).  HOMFLY is unchanged
 by both moves; the regular-isotopy Kauffman Lambda is unchanged by R2 and
-gains a factor ``a`` or ``a^-1`` per kink, by the kink's sign.
+gains a factor ``a`` or ``a^-1`` per kink, by the kink's sign.  The moves
+are made on one working copy of the state's pairing, with every label
+kept, and the crossings left are renumbered once: one
+:class:`DoubleDiagram` is built per reduced state.
 
 :class:`Engine` splits disconnected crossing graphs (a factor ``delta`` per
 extra part), memoises reduced states and bounds work by a budget on
@@ -28,12 +31,16 @@ diagram.
 A smoothing is named by its crossing ``c`` and a slot parity ``p``: slots
 ``p, p+1`` and ``p+2, p+3`` (mod 4) of ``c`` are joined, so every crossing
 has the two smoothings ``p = 0`` and ``p = 1``.  Removing a kink or a bigon
-edge, and the Kauffman and HOMFLY expansions, each pick one of them.
+edge, and the Kauffman and HOMFLY expansions, each pick one of them.  A
+smoothing is two splices, one per joined slot pair ``(a, b)``: the darts
+glued to ``a`` and ``b`` are glued to each other, or, when ``a`` is glued
+to ``b``, a circle closes.  Each splice is O(1), with no walk; a skein
+expansion's smoothing is the first splice of its state's reduction
+(:meth:`Engine.smoothed`).
 
 The module keeps no traversal of its own: the strand walks
 (:meth:`DoubleDiagram.walks`) and the parts of the crossing graph
-(:meth:`DoubleDiagram.crossing_components`) come from the shared map class,
-and a smoothing re-pairs only the darts glued to the dropped crossing.
+(:meth:`DoubleDiagram.crossing_components`) come from the shared map class.
 """
 
 from __future__ import annotations
@@ -84,78 +91,80 @@ def _renumber(
     return DoubleDiagram(sub_alpha, len(crossings)), sub_tails, sub_flips
 
 
-def smooth(
-    dd: DoubleDiagram, tails: Darts, flips: Flips, c: int, p: int
-) -> Tuple[DoubleDiagram, Darts, Flips, int]:
-    """Drop crossing ``c`` by its smoothing of parity ``p``: slots ``p, p+1``
-    and ``p+2, p+3`` (mod 4) are joined.
+def _splice(alpha: List[int], c: int, p: int) -> int:
+    """Smooth crossing ``c`` at parity ``p`` in the pairing ``alpha``, in
+    place, and return the number of circles that close.
 
-    Returns the smaller diagram with its tails and flips relabelled, and the
-    number of circles freed (those that run only through ``c``).
-    """
-    alpha = list(dd.alpha)
-    darts = range(4 * c, 4 * c + 4)
-
-    def through(d: int) -> int:
-        # the dart of c joined to d: slots p + 2k and p + 2k + 1 pair up
-        return 4 * c + (((d + p) ^ 1) - p) % 4
-
-    seen = set()
-    for d in darts:
-        e = dd.alpha[d]
-        if e // 4 == c:
-            continue
-        # the strand that enters c at d runs through c until it leaves
-        while d // 4 == c:
-            seen.add(d)
-            d = through(d)
-            seen.add(d)
-            d = dd.alpha[d]
-        alpha[e] = d
-    # the darts of c that no strand reached close into circles
+    Each joined slot pair ``(a, b)`` is spliced out: the darts glued to
+    ``a`` and ``b`` are glued to each other, unless ``a`` is glued to ``b``
+    and the pair closes a circle.  The darts of ``c`` are left dangling."""
     loops = 0
-    for d in darts:
-        if d not in seen:
+    for k in (p, p + 2):
+        a, b = 4 * c + k % 4, 4 * c + (k + 1) % 4
+        x, y = alpha[a], alpha[b]
+        if x == b:
             loops += 1
-            while d not in seen:
-                seen.add(d)
-                d = through(d)
-                seen.add(d)
-                d = dd.alpha[d]
-    crossings = [k for k in range(dd.n) if k != c]
-    return (*_renumber(alpha, tails, flips, crossings), loops)
+        else:
+            alpha[x], alpha[y] = y, x
+    return loops
 
 
 def _over(d: int, flips: Flips) -> bool:
     return (d % 2 == 1) != (d // 4 in flips)
 
 
-def _next_move(dd: DoubleDiagram, flips: Flips) -> Optional[Tuple[int, List]]:
-    """The first kink, else the first same-level bigon, as its kink writhe
-    and the ``(crossing, parity)`` steps that remove it; None if the diagram
-    has neither.
+def _next_move(
+    alpha: Sequence[int], live: List[int], flips: Flips
+) -> Optional[Tuple[int, Tuple[Tuple[int, int], ...]]]:
+    """The first kink, else the first same-level bigon, among the crossings
+    ``live`` of ``alpha`` in that order, as its kink writhe and the
+    ``(crossing, parity)`` smoothings that remove it; None if there is
+    neither.
 
     An edge of the face is cut at its darts ``y`` and ``x = d_sigma(y)`` of
     one crossing: the smoothing joins ``x`` to ``x + 1`` and ``y`` to
     ``x + 2``, the parity ``x % 2``."""
-    alpha = dd.alpha
-    for d in range(4 * dd.n):
-        e = alpha[d]
-        if d_sigma(e) == d:
-            # a monogon face: the strand leaves at e and comes back in at d;
-            # its sign, orientation-free, is +1 when it comes back in under
-            return (-1 if _over(d, flips) else 1), [(d // 4, d % 2)]
-    for d in range(4 * dd.n):
-        e = alpha[d]
-        f = d_sigma(e)
-        g = alpha[f]
-        if d_sigma(g) == d and d // 4 != e // 4 and _over(d, flips) == _over(e, flips):
-            # a bigon face with edges d-e and f-g, not a clasp: the strand on
-            # d-e is over (or under) at both of its crossings; drop the higher
-            # crossing first so the other keeps its labels
-            steps = [(d // 4, d % 2), (e // 4, f % 2)]
-            return 0, sorted(steps, reverse=True)
+    for c in live:
+        for d in range(4 * c, 4 * c + 4):
+            if d_sigma(alpha[d]) == d:
+                # a monogon face: the strand leaves at alpha[d] and comes back
+                # in at d; its sign, orientation-free, is +1 when it comes
+                # back in under
+                return (-1 if _over(d, flips) else 1), ((c, d % 2),)
+    for c in live:
+        for d in range(4 * c, 4 * c + 4):
+            e = alpha[d]
+            f = d_sigma(e)
+            if d_sigma(alpha[f]) == d and c != e // 4 and _over(d, flips) == _over(e, flips):
+                # a bigon face with edges d-e and f-alpha[f], not a clasp:
+                # the strand on d-e is over (or under) at both its crossings
+                return 0, ((c, d % 2), (e // 4, f % 2))
     return None
+
+
+def _reduce(
+    dd: DoubleDiagram, alpha: List[int], live: List[int], tails: Darts, flips: Flips,
+    loops: int
+) -> Tuple[DoubleDiagram, Darts, Flips, int, int]:
+    """:func:`reduce` on the working pairing ``alpha`` of ``dd``, whose
+    crossings ``live`` (ascending) are left and which has freed ``loops``
+    circles so far.
+
+    Every move is spliced out of ``alpha`` in place, with every label kept;
+    the live crossings are renumbered once, at the end.  ``dd`` itself is
+    returned when nothing was removed."""
+    kinks = 0
+    move = _next_move(alpha, live, flips)
+    if move is None and len(live) == dd.n:
+        return dd, tails, flips, 0, loops
+    while move is not None:
+        sign, steps = move
+        kinks += sign
+        for c, p in steps:
+            loops += _splice(alpha, c, p)
+            live.remove(c)
+        move = _next_move(alpha, live, flips)
+    return (*_renumber(alpha, tails, flips, live), kinks, loops)
 
 
 def reduce(
@@ -165,20 +174,14 @@ def reduce(
     until there are none.
 
     A bigon is removed only when the strand on one of its edges is over at
-    both of its crossings; a clasp is kept.  Returns the reduced state, the
-    kink writhe (the summed orientation-free signs of the kinks removed) and
-    the number of circles freed.
+    both of its crossings; a clasp is kept.  Moves are found in crossing
+    order, first kink before first bigon, and spliced out of one working
+    copy of the pairing; the state is renumbered and built once.  Returns
+    the reduced state (``dd``, ``tails`` and ``flips`` themselves when there
+    is no move), the kink writhe (the summed orientation-free signs of the
+    kinks removed) and the number of circles freed.
     """
-    kinks = loops = 0
-    move = _next_move(dd, flips)
-    while move is not None:
-        sign, steps = move
-        kinks += sign
-        for c, p in steps:
-            dd, tails, flips, freed = smooth(dd, tails, flips, c, p)
-            loops += freed
-        move = _next_move(dd, flips)
-    return dd, tails, flips, kinks, loops
+    return _reduce(dd, list(dd.alpha), list(range(dd.n)), tails, flips, 0)
 
 
 class Engine:
@@ -194,14 +197,21 @@ class Engine:
         self.memo: Dict[Tuple[Tuple[int, ...], Darts, Flips], Laurent2] = {}
 
     def eval(self, dd: DoubleDiagram, tails: Darts, flips: Flips) -> Laurent2:
+        self._count_node()
+        if dd.n == 0:
+            return Laurent2.one()
+        return self._reduced_value(*reduce(dd, tails, flips))
+
+    def _count_node(self) -> None:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise BudgetError(
                 f"skein recursion exceeded the node budget ({self.max_nodes})"
             )
-        if dd.n == 0:
-            return Laurent2.one()
-        dd, tails, flips, kinks, loops = reduce(dd, tails, flips)
+
+    def _reduced_value(
+        self, dd: DoubleDiagram, tails: Darts, flips: Flips, kinks: int, loops: int
+    ) -> Laurent2:
         key = (dd.alpha, tails, flips)
         result = self.memo.get(key)
         if result is None:
@@ -229,9 +239,16 @@ class Engine:
     def smoothed(
         self, dd: DoubleDiagram, tails: Darts, flips: Flips, c: int, p: int
     ) -> Laurent2:
-        """The value of ``dd`` with crossing ``c`` smoothed at parity ``p``."""
-        dd, tails, flips, loops = smooth(dd, tails, flips, c, p)
-        return self._with_circles(self.eval(dd, tails, flips), dd.n, loops)
+        """The value of ``dd`` with crossing ``c`` smoothed at parity ``p``.
+
+        The smoothing is the first splice of the smoothed state's reduction,
+        so that state is renumbered and built once, already reduced; it
+        counts one node, as :meth:`eval` of it would."""
+        self._count_node()
+        alpha = list(dd.alpha)
+        loops = _splice(alpha, c, p)
+        live = [k for k in range(dd.n) if k != c]
+        return self._reduced_value(*_reduce(dd, alpha, live, tails, flips, loops))
 
     def kinked(self, value: Laurent2, kinks: int) -> Laurent2:
         """``value`` times the factor of a removed kink writhe; HOMFLY is an

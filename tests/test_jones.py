@@ -7,6 +7,7 @@ from tricross import (
     DoubleDiagram,
     HalfLaurent,
     TripleDiagram,
+    TripleProjection,
     bracket_jones,
     convert_to_double,
     derive_triple_relation,
@@ -227,6 +228,13 @@ def test_batch_matches_single():
     batch = jones_triple_batch(p, words_list)
     for words, v in zip(words_list, batch):
         assert v == jones_triple(TripleDiagram(p, list(words)))
+
+
+def test_batch_on_the_crossingless_projection():
+    # one unknot value per word, as jones_triple gives at n = 0
+    p = TripleProjection.unknot()
+    assert jones_triple_batch(p, [(), ()]) == [HalfLaurent.one()] * 2
+    assert jones_triple(TripleDiagram(p, [])) == HalfLaurent.one()
 
 
 def test_triple_vs_bracket_on_random_n3_diagrams():

@@ -10,6 +10,7 @@ from tricross import (
     alexander,
     bracket_jones,
     convert_to_double,
+    enumerate_projections,
     fold_jones,
     fold_kauffman,
     homfly,
@@ -18,11 +19,12 @@ from tricross import (
     parse_spd,
     rational_knot_pd,
 )
-from tricross.enumeration import HEIGHT_WORDS
-from tricross.kauffman import DELTA_K
+from tricross.enumeration import HEIGHT_WORDS, enumerate_diagrams
+from tricross.homfly import _Homfly
+from tricross.kauffman import DELTA_K, _Kauffman
 from tricross.laurent import Laurent2
 from tricross.maps import d_sigma
-from tricross.skein import reduce
+from tricross.skein import _reduce, _renumber, _splice, reduce
 from conftest import (
     PD_FIG8, PD_KINK, PD_TREFOIL, T2_1, T2_2, W_41_41, W_41_41_SPLIT, W_51_SPLIT)
 
@@ -202,3 +204,175 @@ def test_kauffman_lambda_of_a_split_union():
     t = DoubleDiagram.from_pd(PD_TREFOIL)
     dd = DoubleDiagram(t.alpha + tuple(d + 4 * t.n for d in t.alpha))
     assert kauffman_lambda(dd) == DELTA_K * kauffman_lambda(t) ** 2
+
+
+# -- the in-place reduction against the per-move reference ----------------------
+
+def _reference_smooth(dd, tails, flips, c, p):
+    """Crossing ``c`` smoothed at parity ``p`` by walking each strand
+    through it, renumbered: the smaller state and the circles freed."""
+    alpha = list(dd.alpha)
+    darts = range(4 * c, 4 * c + 4)
+
+    def through(d):
+        # the dart of c joined to d: slots p + 2k and p + 2k + 1 pair up
+        return 4 * c + (((d + p) ^ 1) - p) % 4
+
+    seen = set()
+    for d in darts:
+        e = dd.alpha[d]
+        if e // 4 == c:
+            continue
+        # the strand that enters c at d runs through c until it leaves
+        while d // 4 == c:
+            seen.add(d)
+            d = through(d)
+            seen.add(d)
+            d = dd.alpha[d]
+        alpha[e] = d
+    # the darts of c that no strand reached close into circles
+    loops = 0
+    for d in darts:
+        if d not in seen:
+            loops += 1
+            while d not in seen:
+                seen.add(d)
+                d = through(d)
+                seen.add(d)
+                d = dd.alpha[d]
+    crossings = [k for k in range(dd.n) if k != c]
+    return (*_renumber(alpha, tails, flips, crossings), loops)
+
+
+def _over(d, flips):
+    return (d % 2 == 1) != (d // 4 in flips)
+
+
+def _reference_next_move(dd, flips):
+    """The first kink, else the first same-level bigon, scanned from dart 0,
+    as its kink writhe and its ``(crossing, parity)`` steps, higher crossing
+    first."""
+    alpha = dd.alpha
+    for d in range(4 * dd.n):
+        if d_sigma(alpha[d]) == d:
+            return (-1 if _over(d, flips) else 1), [(d // 4, d % 2)]
+    for d in range(4 * dd.n):
+        e = alpha[d]
+        f = d_sigma(e)
+        g = alpha[f]
+        if d_sigma(g) == d and d // 4 != e // 4 and _over(d, flips) == _over(e, flips):
+            return 0, sorted([(d // 4, d % 2), (e // 4, f % 2)], reverse=True)
+    return None
+
+
+def _reference_reduce(dd, tails, flips):
+    """:func:`reduce` one move at a time, renumbering after each smoothing."""
+    kinks = loops = 0
+    move = _reference_next_move(dd, flips)
+    while move is not None:
+        sign, steps = move
+        kinks += sign
+        for c, p in steps:
+            dd, tails, flips, freed = _reference_smooth(dd, tails, flips, c, p)
+            loops += freed
+        move = _reference_next_move(dd, flips)
+    return dd, tails, flips, kinks, loops
+
+
+def _reference_engine(engine):
+    """``engine``'s class with every state smoothed and reduced by the
+    references; each state it reduces is checked against :func:`reduce`,
+    and each smoothing against its splice and in-place reduction."""
+
+    class Reference(engine):
+        def eval(self, dd, tails, flips):
+            self._count_node()
+            if dd.n == 0:
+                return Laurent2.one()
+            state = _reference_reduce(dd, tails, flips)
+            assert reduce(dd, tails, flips) == state
+            return self._reduced_value(*state)
+
+        def smoothed(self, dd, tails, flips, c, p):
+            sub, sub_tails, sub_flips, loops = _reference_smooth(dd, tails, flips, c, p)
+            alpha = list(dd.alpha)
+            assert _splice(alpha, c, p) == loops
+            want = _reference_reduce(sub, sub_tails, sub_flips)
+            live = [k for k in range(dd.n) if k != c]
+            assert _reduce(dd, alpha, live, tails, flips, loops) == (*want[:4], want[4] + loops)
+            return self._with_circles(self.eval(sub, sub_tails, sub_flips), sub.n, loops)
+
+    return Reference
+
+
+@pytest.fixture(scope="module")
+def skein_diagrams(projections_n3):
+    """The deconstructions of every distinct diagram at n <= 3 and of six
+    seeded ones at n = 4."""
+    diagrams = [d for n in (2, 3) for p in projections_n3[n] for d in enumerate_diagrams(p)]
+    rng = random.Random(24)
+    for p in rng.sample(enumerate_projections(4), 6):
+        diagrams.append(TripleDiagram(p, [rng.choice(HEIGHT_WORDS) for _ in range(4)]))
+    return [convert_to_double(d) for d in diagrams]
+
+
+def test_engines_reduce_every_state_as_the_reference(skein_diagrams):
+    # the same value, node count and memo, in both directions of HOMFLY and
+    # for Kauffman's unoriented recursion
+    checked = 0
+    for dd in skein_diagrams:
+        for engine, tails in [(_Homfly, t) for t in dd.orientations()] + [(_Kauffman, NO_TAILS)]:
+            fast, slow = engine(2_000_000), _reference_engine(engine)(2_000_000)
+            assert fast.eval(dd, tails, NO_FLIPS) == slow.eval(dd, tails, NO_FLIPS)
+            assert (fast.nodes, fast.memo) == (slow.nodes, slow.memo)
+            checked += slow.nodes
+    assert len(skein_diagrams) == 21 + 330 + 6
+    assert checked > 2_000
+
+
+def test_splice_of_a_kink_crossing():
+    # slots 0-1 and 2-3 glued: parity 0 joins each glued pair, two circles;
+    # parity 1 closes one circle through both joined pairs, as the first
+    # splice glues the second pair's darts to each other.  Slots 0-3 and
+    # 1-2 glued (the other kink) swap the two parities.
+    for alpha, p, loops in (([1, 0, 3, 2], 0, 2), ([1, 0, 3, 2], 1, 1),
+                            ([3, 2, 1, 0], 1, 2), ([3, 2, 1, 0], 0, 1)):
+        assert _splice(list(alpha), 0, p) == loops
+
+
+def test_splice_closes_one_circle_through_both_pairs_beside_a_diagram():
+    # a curl beside the trefoil: its crossing's darts are glued among
+    # themselves, and smoothing it leaves the trefoil's pairing untouched
+    t = DoubleDiagram.from_pd(PD_TREFOIL)
+    alpha = list(t.alpha) + [13, 12, 15, 14]
+    dd = DoubleDiagram(alpha, 4)
+    assert _splice(alpha, 3, 1) == 1
+    assert alpha[:12] == list(t.alpha)
+    reduced, _, _, _, loops = reduce(dd, NO_TAILS, NO_FLIPS)
+    assert (reduced, loops) == (t, 1)
+
+
+def _moved(dd, order):
+    """``dd`` with its crossings relabelled: new crossing ``i`` is old
+    crossing ``order[i]``; with the map of darts."""
+    new = {c: i for i, c in enumerate(order)}
+    label = lambda d: 4 * new[d // 4] + d % 4
+    alpha = [0] * (4 * dd.n)
+    for d, e in enumerate(dd.alpha):
+        alpha[label(d)] = label(e)
+    return DoubleDiagram(alpha, dd.n), label
+
+
+def test_reduce_drops_exactly_the_removed_crossings_from_tails_and_flips():
+    # a kink on the trefoil, relabelled to sit between its crossings, with
+    # every crossing flipped: the mirror trefoil stays alternating
+    curled = _curl(DoubleDiagram.from_pd(PD_TREFOIL), 5, 1)
+    dd, label = _moved(curled, [0, 3, 1, 2])
+    tails = frozenset(label(d) for d in curled.orientations()[0])
+    flips = frozenset(range(4))
+    reduced, sub_tails, sub_flips, kinks, loops = reduce(dd, tails, flips)
+    assert (reduced.n, kinks, loops) == (3, -1, 0)
+    keep = {0: 0, 2: 1, 3: 2}   # old labels of the live crossings -> new
+    assert sub_flips == frozenset({0, 1, 2})
+    assert sub_tails == frozenset(4 * keep[d // 4] + d % 4 for d in tails if d // 4 in keep)
+    assert sub_tails in reduced.orientations()
