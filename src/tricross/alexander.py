@@ -92,32 +92,35 @@ def _balanced_digits(value: int, base: int) -> Dict[int, int]:
 
 def _wirtinger(
     dd: DoubleDiagram, tails: FrozenSet[int] | None = None
-) -> List[Tuple[int, int, int, int]]:
-    """Per crossing ``(out_arc, in_arc, over_arc, sign)``: the under-strand
-    passes from ``in_arc`` to ``out_arc`` beneath ``over_arc``, along
-    ``tails`` or, without, along the knot's first walk.  A link raises
-    :class:`DiagramError`.
+) -> List[Tuple[int, int]]:
+    """The under-passages of ``dd`` along ``tails`` or, without, along the
+    knot's first walk, in the format :func:`_chain_alexander` reads:
+    ``passes[k] = (over arc, sign)``, passage ``k`` running from arc ``k``
+    to arc ``k + 1`` (mod ``n``).  A link raises :class:`DiagramError`.
 
     One walk along the knot numbers the arcs: a new arc starts at each
     under-strand exit (an even tail dart), so a dart lies on arc ``k mod n``
     after ``k`` under exits, and the darts before the first exit lie on the
     arc that wraps round to them."""
     n = dd.n
+    if n == 0:
+        return []
     walks = dd.walks(tails)
     if len(walks) != 1:
         raise DiagramError("not a knot: more than one component")
     (order,) = walks
-    under: List[Tuple[int, int]] = [(0, 0)] * n  # (dart, arcs begun) per crossing
-    over = [(0, 0)] * n
-    k = 0
+    unders: List[int] = []  # under exits in walk order: passage k ends at the k-th
+    over = [(0, 0)] * n  # per crossing: (over dart, its arc)
     for d in order:
         if d % 2 == 0:
-            k += 1
-            under[d // 4] = (d, k)
+            unders.append(d)
         else:
-            over[d // 4] = (d, k)
-    return [(u_arc % n, u_arc - 1, o_arc % n, 1 if (o - u) % 4 == 1 else -1)
-            for (u, u_arc), (o, o_arc) in zip(under, over)]
+            over[d // 4] = (d, len(unders) % n)
+    passes = []
+    for u in unders:
+        o, arc = over[u // 4]
+        passes.append((arc, 1 if (o - u) % 4 == 1 else -1))
+    return passes
 
 
 def _chain_alexander(passes: Sequence[Tuple[int, int]]) -> IntLaurent:
@@ -238,10 +241,7 @@ def alexander(diagram: Union[TripleDiagram, DoubleDiagram]) -> IntLaurent:
     """Normalised Alexander polynomial of a knot diagram, triple or double."""
     if isinstance(diagram, TripleDiagram):
         return _chain_alexander(_triple_passes(diagram))
-    passes = [(0, 0)] * diagram.n
-    for _, in_arc, over_arc, sign in _wirtinger(diagram) if diagram.n else ():
-        passes[in_arc] = (over_arc, sign)
-    return _chain_alexander(passes)
+    return _chain_alexander(_wirtinger(diagram))
 
 
 def _normalize(poly: Dict[int, int]) -> IntLaurent:

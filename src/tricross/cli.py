@@ -103,31 +103,17 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_resume(args: argparse.Namespace) -> tuple[Optional[str], list]:
-    """Token and partial codes of an earlier budget stop; nothing for an
-    empty file.  A file written for another n or mirror setting is refused."""
-    with open(args.resume) as f:
-        text = f.read().strip()
-    if not text:
-        return None, []
-    rec = json.loads(text)
-    partial = rec.get("partial") if isinstance(rec, dict) else None
-    if not (isinstance(partial, list) and "token" in rec
-            and all(isinstance(code, list) and all(type(e) is int for e in code)
-                    for code in partial)
-            and (rec.get("n"), rec.get("fold_mirror")) == (args.n, args.fold_mirror)):
-        raise DiagramError(f"{args.resume} is not a resume file for n = {args.n}, "
-                           f"fold_mirror = {args.fold_mirror}")
-    return rec["token"], [tuple(code) for code in partial]
+def _read_resume(path: str) -> Optional[str]:
+    """The token of an earlier budget stop; None for an empty file."""
+    with open(path) as f:
+        return f.read().strip() or None
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     budget = _budget(args)
-    resume_token, partial_codes = _read_resume(args) if args.resume else (None, [])
+    resume_token = _read_resume(args.resume) if args.resume else None
     try:
-        projections = enumerate_projections(
-            args.n, args.fold_mirror, budget, resume_token, partial_codes
-        )
+        projections = enumerate_projections(args.n, args.fold_mirror, budget, resume_token)
     except BudgetExceeded as exc:
         out = _open_out(args.out)
         lines = [
@@ -140,9 +126,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         _emit(out, "\n".join(lines))
         if args.resume:
             with open(args.resume, "w") as f:
-                json.dump({"n": args.n, "fold_mirror": args.fold_mirror,
-                           "token": exc.resume_token,
-                           "partial": [list(code) for code in exc.partial]}, f)
+                f.write(exc.resume_token)
         return EXIT_PARTIAL
     out = _open_out(args.out)
     lines = [
@@ -289,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--fold-mirror", dest="fold_mirror",
                         action=argparse.BooleanOptionalAction, default=True)
     p_enum.add_argument("--resume", default=None,
-                        help="token file; read to resume, rewritten on budget stop")
+                        help="resume token file; read to resume, rewritten on budget stop")
     common(p_enum)
 
     p_cls = sub.add_parser("classify", help="classify knots for n=2..N")

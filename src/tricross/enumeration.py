@@ -22,7 +22,7 @@ census counts 1, 2, 15, 116 for n = 2..5.
 
 Long runs honour a wall-clock budget: on expiry a ``BudgetExceeded`` error
 names the n and the stage of the stop and, in the search, carries the partial
-results and a resume token (the decision path), which
+results and a resume token (the decision path and the partial codes), which
 ``enumerate_projections`` accepts to continue the search.
 """
 
@@ -61,8 +61,10 @@ class Budget:
 class BudgetExceeded(RuntimeError):
     """Raised when a budget expires at crossing count ``n`` in ``stage``
     (``"search"`` or ``"classify"``); carries partial results and, for a stop
-    in the search, a resume token.  A stop inside ``classify`` also carries
-    the ``ClassifyRun`` of the n's finished before it as ``run``."""
+    in the search, a resume token: the JSON object ``{"n", "fold_mirror",
+    "path", "partial"}``, the whole state that ``enumerate_projections``
+    resumes from.  A stop inside ``classify`` also carries the
+    ``ClassifyRun`` of the n's finished before it as ``run``."""
 
     run: Optional["ClassifyRun"] = None
 
@@ -75,9 +77,12 @@ class BudgetExceeded(RuntimeError):
         self.stage = stage
 
 
-def _resume_path(token: Optional[str], n: int, fold_mirror: bool) -> List[int]:
+def _read_token(token: Optional[str], n: int,
+                fold_mirror: bool) -> Tuple[List[int], List[Tuple[int, ...]]]:
+    """The decision path and the partial codes of a resume token of this
+    search; a token without ``"partial"`` has none."""
     if not token:
-        return []
+        return [], []
     try:
         rec = json.loads(token)
     except (TypeError, ValueError):
@@ -88,11 +93,12 @@ def _resume_path(token: Optional[str], n: int, fold_mirror: bool) -> List[int]:
     if (rec.get("n"), rec.get("fold_mirror")) != (n, fold_mirror):
         raise DiagramError(f"the resume token is not one of this search at n = {n}, "
                            f"fold_mirror = {fold_mirror}")
-    return path
-
-
-def _make_token(path: List[int], n: int, fold_mirror: bool) -> str:
-    return json.dumps({"n": n, "fold_mirror": fold_mirror, "path": path})
+    partial = rec.get("partial", [])
+    if not (isinstance(partial, list)
+            and all(isinstance(code, list) and all(type(e) is int for e in code)
+                    for code in partial)):
+        raise DiagramError("the partial codes of the resume token are not lists of ints")
+    return path, [tuple(code) for code in partial]
 
 
 def enumerate_raw_shadows(
@@ -209,7 +215,7 @@ def enumerate_raw_shadows(
     start_time = time.monotonic()
     nodes = 0
     path: List[int] = []
-    replay = _resume_path(resume_token, n, fold_mirror)
+    replay, _ = _read_token(resume_token, n, fold_mirror)
 
     def check_budget(e: int) -> None:
         if budget is None:
@@ -223,8 +229,8 @@ def enumerate_raw_shadows(
             return
         # the token ends with the pairing not yet tried, where a resumed
         # search picks up
-        raise BudgetExceeded(message, [], _make_token(path + [e], n, fold_mirror),
-                             n, "search")
+        token = json.dumps({"n": n, "fold_mirror": fold_mirror, "path": path + [e]})
+        raise BudgetExceeded(message, [], token, n, "search")
 
     def search(d: int, rivals: list, rem: int, to_close: int, open_faces: int,
                k: int) -> Iterator[TripleProjection]:
@@ -297,23 +303,23 @@ def enumerate_projections(
     fold_mirror: bool = True,
     budget: Optional[Budget] = None,
     resume_token: Optional[str] = None,
-    partial_codes: Optional[List[Tuple[int, ...]]] = None,
 ) -> List[TripleProjection]:
     """Canonical representatives of prime knot projections with ``n`` triple
     points, one per orbit of the M1/M2 slides (mirror images folded).
 
-    ``partial_codes`` are the codes a budget stop collected; a code the
-    search could not have yielded (not a spherical one-curve prime shadow
-    in its canonical labeling) is refused with ``DiagramError``."""
+    A budget stop's token adds to the search's decision path the codes of
+    the prime shadows found before the stop, and a resumed search starts
+    from them; a code the search could not have yielded (not a spherical
+    one-curve prime shadow in its canonical labeling) is refused with
+    ``DiagramError``."""
     seen: Dict[Tuple[int, ...], TripleProjection] = {}
-    for code in partial_codes or ():
+    for code in _read_token(resume_token, n, fold_mirror)[1]:
         p = TripleProjection(code, n)
         if not (p.is_spherical() and p.num_components() == 1 and p.is_prime()
                 and canonical_projection_code(p, fold_mirror) == p.alpha):
             raise DiagramError(f"the partial code {list(code)} is not a canonical "
                                f"prime shadow at n = {n}, fold_mirror = {fold_mirror}")
         seen[p.alpha] = p
-    collected: List[Tuple[int, ...]] = list(partial_codes or [])
     try:
         for p in enumerate_raw_shadows(n, budget, resume_token, fold_mirror):
             if not p.is_prime():
@@ -322,11 +328,12 @@ def enumerate_projections(
             if code != tuple(p.alpha):
                 raise InternalConsistencyError(
                     f"the search yielded a shadow that is not in canonical form at n = {n}")
-            if code not in seen:
-                seen[code] = p
-                collected.append(code)
+            seen.setdefault(code, p)
     except BudgetExceeded as exc:
-        exc.partial = collected
+        exc.partial = list(seen)
+        token = json.loads(exc.resume_token)
+        token["partial"] = [list(code) for code in seen]
+        exc.resume_token = json.dumps(token)
         raise
     return _m_orbit_representatives(seen, fold_mirror)
 
@@ -459,7 +466,10 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
     search of each n gets what is left of it, and the classification checks
     it before each projection.  ``BudgetExceeded`` names the n and the stage
     of the stop and carries, as ``run``, the classes of the n's finished
-    before it; a stop in classification has no resume token.
+    before it.  A stop in the search carries the token of
+    ``enumerate_projections`` at that n, which resumes that n's search
+    through ``enumerate_projections`` (``tricross enumerate --n N
+    --resume``); a stop in classification has no resume token.
     """
     from .spd import serialize_spd
 

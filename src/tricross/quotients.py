@@ -64,29 +64,23 @@ def permutation_group(name: str) -> Group:
     return els, inv, classes
 
 
-def wirtinger_relations(dd: DoubleDiagram) -> Tuple[List[Tuple[int, int, int, int]], int]:
-    """Per-crossing (out_arc, in_arc, over_arc, sign) plus the arc count;
-    a link raises :class:`DiagramError`."""
-    if dd.n == 0:
-        return [], 0
-    rels = _wirtinger(dd)
-    return rels, 1 + max(max(r[:3]) for r in rels)
-
-
 def _count_pinned(
-    rels: Sequence[Tuple[int, int, int, int]],
-    arcs: int,
+    passes: Sequence[Tuple[int, int]],
     cls: Sequence[Perm],
     inv: Dict[Perm, Perm],
     rep: Perm,
 ) -> int:
-    """Homomorphism count with arc 0 pinned to ``rep``, all arcs in ``cls``."""
+    """Homomorphism count with arc 0 pinned to ``rep``, all arcs in ``cls``;
+    passage ``k`` runs from arc ``k`` to arc ``k + 1`` beneath
+    ``passes[k][0]``, with crossing sign ``passes[k][1]``."""
+    arcs = len(passes)
 
     def solve(assign: List[Perm | None]) -> int:
         changed = True
         while changed:
             changed = False
-            for out, inn, over, sign in rels:
+            for inn, (over, sign) in enumerate(passes):
+                out = (inn + 1) % arcs
                 w = assign[over]
                 if w is None:
                     continue
@@ -114,10 +108,10 @@ def _count_pinned(
 def meridional_profile(dd: DoubleDiagram, group: Group) -> List[int]:
     """Pinned counts T(C) per conjugacy class, in canonical class order."""
     _, inv, classes = group
-    rels, arcs = wirtinger_relations(dd)
-    if arcs == 0:
+    passes = _wirtinger(dd)
+    if not passes:
         return [1 for _ in classes]
-    return [_count_pinned(rels, arcs, C, inv, C[0]) for C in classes]
+    return [_count_pinned(passes, C, inv, C[0]) for C in classes]
 
 
 def hom_counts(dd: DoubleDiagram, group: Group) -> List[int]:

@@ -97,17 +97,17 @@ def test_criterion_03_extended_n5_budgeted():
                 f"full n=5 projection census: {len(projections)}, target 116")
         return
     # default: exercise the budget/checkpoint contract where the search has
-    # partial results: resume just before the first prime shadow, stop after
-    # a few, then resume from that stop with its token and partial codes
-    token, partial, legs = N5_TOKEN_BEFORE_FIRST_PRIME, [], []
+    # partial results: resume just before the first prime shadow (a token
+    # with no partial codes), stop after a few, then resume from that stop's
+    # token, which carries them
+    token, legs = N5_TOKEN_BEFORE_FIRST_PRIME, []
     for max_nodes in (50, 100):
         with pytest.raises(BudgetExceeded) as exc_info:
             enumerate_projections(5, budget=Budget(max_nodes=max_nodes),
-                                  resume_token=token, partial_codes=partial)
+                                  resume_token=token)
         token = exc_info.value.resume_token
-        partial = [tuple(c) for c in exc_info.value.partial]
         assert token
-        legs.append(partial)
+        legs.append([tuple(c) for c in exc_info.value.partial])
     first, second = legs
     kept = bool(first) and set(first) < set(second)
     canonical = all(

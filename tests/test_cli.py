@@ -120,12 +120,60 @@ def test_enumerate_refuses_resume_file_for_other_n(tmp_path):
     (None, [[d ^ 1 for d in range(18)]]),
 ])
 def test_enumerate_refuses_a_malformed_resume_file(tmp_path, capsys, token, partial):
+    # the token's fields other than "partial" (None: those of the search's
+    # start), with ``partial`` as its partial codes
+    rec = json.loads(token or json.dumps({"n": 3, "fold_mirror": True, "path": []}))
+    if isinstance(rec, dict):
+        rec["partial"] = partial
     resume = tmp_path / "resume.json"
-    resume.write_text(json.dumps({"n": 3, "fold_mirror": True,
-                                  "token": token, "partial": partial}))
+    resume.write_text(json.dumps(rec))
     assert main(["enumerate", "--n", "3", "--out", str(tmp_path / "a.jsonl"),
                  "--resume", str(resume)]) == EXIT_ERROR
     assert set(json.loads(capsys.readouterr().err)) == {"error"}
+
+
+def test_enumerate_refuses_a_resume_file_of_the_old_format(tmp_path, capsys):
+    # before tokens carried their partial codes, a resume file wrapped them
+    token = json.dumps({"n": 4, "fold_mirror": True, "path": [1, 6]})
+    resume = tmp_path / "resume.json"
+    resume.write_text(json.dumps({"n": 4, "fold_mirror": True,
+                                  "token": token, "partial": []}))
+    out = tmp_path / "a.jsonl"
+    assert main(["enumerate", "--n", "4", "--out", str(out),
+                 "--resume", str(resume)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and set(json.loads(err)) == {"error"}
+    assert not out.exists()
+
+
+def _resumes_to_the_full_run(tmp_path, token, n):
+    """``enumerate --n N`` resumed from ``token`` writes exactly what an
+    uninterrupted run writes."""
+    resume = tmp_path / "token.json"
+    resume.write_text(token)
+    resumed, full = tmp_path / "resumed.jsonl", tmp_path / "full.jsonl"
+    assert main(["enumerate", "--n", str(n), "--out", str(resumed),
+                 "--resume", str(resume)]) == EXIT_OK
+    assert main(["enumerate", "--n", str(n), "--out", str(full)]) == EXIT_OK
+    assert resumed.read_bytes() == full.read_bytes()
+
+
+def test_enumerate_resumes_from_the_token_it_prints(tmp_path):
+    out = tmp_path / "stop.jsonl"
+    assert main(["enumerate", "--n", "4", "--max-nodes", "30000",
+                 "--out", str(out)]) == EXIT_PARTIAL
+    records = read_jsonl(out)
+    assert records[-1]["type"] == "resume" and records[:-1]  # partial records kept
+    _resumes_to_the_full_run(tmp_path, records[-1]["token"], 4)
+
+
+def test_classify_search_stop_token_resumes_through_enumerate(tmp_path):
+    out = tmp_path / "stop.jsonl"
+    assert main(["classify", "--n", "4", "--max-nodes", "500",
+                 "--out", str(out)]) == EXIT_PARTIAL
+    stop = read_jsonl(out)[-1]
+    assert (stop["type"], stop["n"], stop["stage"]) == ("resume", 3, "search")
+    _resumes_to_the_full_run(tmp_path, stop["token"], 3)
 
 
 def test_classify_and_report_roundtrip(tmp_path):

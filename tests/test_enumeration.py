@@ -156,11 +156,10 @@ def test_budget_and_resume_roundtrip():
     with pytest.raises(BudgetExceeded) as exc_info:
         enumerate_projections(3, budget=Budget(max_nodes=200))
     exc = exc_info.value
-    assert exc.resume_token
-    # resuming with the token and the partial codes completes the census
-    done = enumerate_projections(
-        3, resume_token=exc.resume_token,
-        partial_codes=[tuple(c) for c in exc.partial])
+    # the token carries the partial codes, and resuming from it completes
+    # the census
+    assert json.loads(exc.resume_token)["partial"] == [list(c) for c in exc.partial]
+    done = enumerate_projections(3, resume_token=exc.resume_token)
     assert len(done) == 2
     # the search depends on the mirror setting, and so does its token
     with pytest.raises(DiagramError):
@@ -179,20 +178,27 @@ _NOT_SEARCHED = {
 }
 
 
+def _token(n, partial, fold_mirror=True):
+    """A resume token at the start of the n search with these partial codes."""
+    return json.dumps({"n": n, "fold_mirror": fold_mirror, "path": [],
+                       "partial": [list(code) for code in partial]})
+
+
 @pytest.mark.parametrize("code", _NOT_SEARCHED.values(), ids=_NOT_SEARCHED)
 def test_resume_refuses_a_partial_code_the_search_cannot_yield(code):
     with pytest.raises(DiagramError, match=re.escape(str(code))):
-        enumerate_projections(2, partial_codes=[tuple(code)])
+        enumerate_projections(2, resume_token=_token(2, [code]))
 
 
 def test_resume_accepts_the_codes_the_search_yields():
     (p,) = enumerate_projections(2)
-    assert enumerate_projections(2, partial_codes=[p.alpha]) == [p]
+    assert enumerate_projections(2, resume_token=_token(2, [p.alpha])) == [p]
     # the mirror form is a prime shadow of the search that keeps mirror
     # images apart
     mirror = tuple(_NOT_SEARCHED["mirror-form"])
     assert mirror in {q.alpha for q in enumerate_raw_shadows(2, fold_mirror=False)}
-    assert (enumerate_projections(2, fold_mirror=False, partial_codes=[mirror])
+    assert (enumerate_projections(2, fold_mirror=False,
+                                  resume_token=_token(2, [mirror], fold_mirror=False))
             == enumerate_projections(2, fold_mirror=False))
 
 
@@ -200,16 +206,15 @@ def test_resume_accepts_the_codes_the_search_yields():
 @given(st.integers(500, 2400))
 def test_node_budget_stops_resume_to_the_full_search(max_nodes):
     # the n = 3 search tries about 2,500 pairings; stop every max_nodes of
-    # them and resume from the token and the partial codes until done
-    token, partial = None, []
+    # them and resume from the token until done
+    token = None
     for _ in range(20):
         try:
-            done = enumerate_projections(
-                3, budget=Budget(max_nodes=max_nodes), resume_token=token,
-                partial_codes=partial)
+            done = enumerate_projections(3, budget=Budget(max_nodes=max_nodes),
+                                         resume_token=token)
             break
         except BudgetExceeded as exc:
-            token, partial = exc.resume_token, [tuple(c) for c in exc.partial]
+            token = exc.resume_token
     else:
         pytest.fail(f"no progress at max_nodes = {max_nodes}")
     assert [p.alpha for p in done] == [p.alpha for p in enumerate_projections(3)]
