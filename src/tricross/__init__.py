@@ -6,7 +6,6 @@ from .canon import (
     canonical_diagram_code,
     canonical_form,
     canonical_projection_code,
-    diagrams_equivalent,
 )
 from .enumeration import (
     Budget,
@@ -45,7 +44,6 @@ from .maps import (
     TripleDiagram,
     TripleProjection,
     natural_orientations,
-    reverse_orientation,
 )
 from .moves import (
     JR,

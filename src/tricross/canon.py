@@ -60,6 +60,7 @@ def _read_trace(
     return -1, pos, order, base, -1
 
 
+@functools.lru_cache(maxsize=None)
 def _height_word(word: str, base: int, direction: int, reverse_ranks: bool) -> str:
     out = "".join(word[(base + direction * k) % 6 % 3] for k in range(3))
     return out.translate(_RANK_REVERSE) if reverse_ranks else out
@@ -123,14 +124,6 @@ def canonical_diagram_code(
               for c, b in zip(order, base))
         for sense, order, base in frames
         for view_sense, reverse_ranks in views if view_sense == sense
-    )
-
-
-def diagrams_equivalent(
-    d: TripleDiagram, e: TripleDiagram, fold_mirror: bool = False
-) -> bool:
-    return canonical_diagram_code(d, fold_mirror) == canonical_diagram_code(
-        e, fold_mirror
     )
 
 

@@ -36,10 +36,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .alexander import alexander
 from .canon import (
-    _RANK_REVERSE,
-    _diagram_from_code,
     _read_trace,
     canonical_diagram_code,
+    canonical_form,
     canonical_projection_code,
 )
 from .jones import jones_triple_batch
@@ -47,6 +46,7 @@ from .kauffman import kauffman_f
 from .laurent import HalfLaurent, IntLaurent, Laurent2
 from .maps import DiagramError, InternalConsistencyError, TripleDiagram, TripleProjection
 from .moves import apply_m, find_m_sites
+from .spd import serialize_spd
 from .tangle import convert_to_double
 
 HEIGHT_WORDS = tuple("".join(w) for w in itertools.permutations("TMB"))
@@ -364,18 +364,19 @@ def _m_orbit_representatives(
     return [seen[code] for code in reps]
 
 
-def _diagram_codes(p: TripleProjection) -> Dict[Tuple[str, ...], Tuple]:
-    """The unfolded ``canonical_diagram_code`` of each height word on ``p``."""
-    return {words: canonical_diagram_code(TripleDiagram(p, words), fold_mirror=False)
-            for words in itertools.product(HEIGHT_WORDS, repeat=p.n)}
+def _first_words(p: TripleProjection, fold_mirror: bool) -> Dict[Tuple, Tuple[str, ...]]:
+    """The first height word on ``p``, in product order, of each class of
+    ``canonical_diagram_code(d, fold_mirror)``, keyed by that code."""
+    first: Dict[Tuple, Tuple[str, ...]] = {}
+    for words in itertools.product(HEIGHT_WORDS, repeat=p.n):
+        first.setdefault(canonical_diagram_code(TripleDiagram(p, words), fold_mirror), words)
+    return first
 
 
 def enumerate_diagrams(p: TripleProjection) -> List[TripleDiagram]:
     """All height assignments on a knot projection, deduplicated up to
     relabeling (mirror images kept distinct)."""
-    first: Dict[Tuple, Tuple[str, ...]] = {}
-    for words, code in _diagram_codes(p).items():
-        first.setdefault(code, words)
+    first = _first_words(p, fold_mirror=False)
     return [TripleDiagram(p, first[code]) for code in sorted(first)]
 
 
@@ -415,26 +416,17 @@ class ClassifyRun:
     classes: Dict[ClassKey, KnotClass] = field(default_factory=dict)
 
 
-def _project_classes(p: TripleProjection, n: int) -> Iterator[tuple]:
-    """(folded Jones, Alexander), unfolded code and diagram of each mirror
-    class of diagrams on one projection, one class at a time, read off the
-    class's first member in height-word order.
-
-    A diagram's mirror views are its T <-> B swap's own views, so a mirror
-    class holds the diagrams of one unfolded code and of its swap's code.
-    Folded Jones and the normalised Alexander polynomial are
-    mirror-invariant, so both run once per class."""
-    codes = _diagram_codes(p)
-    seen = set()
-    firsts = []
-    for words, code in codes.items():
-        if code not in seen:
-            seen.update((code, codes[tuple(w.translate(_RANK_REVERSE) for w in words)]))
-            firsts.append((words, code))
-    jones = jones_triple_batch(p, [words for words, _ in firsts])
-    for (words, code), v in zip(firsts, jones):
-        d = TripleDiagram(p, words)
-        yield (fold_jones(v), str(alexander(d))), code, d
+def _project_classes(p: TripleProjection) -> Iterator[tuple]:
+    """(folded Jones, Alexander) and diagram of each mirror class of
+    diagrams on one projection: one record per class of
+    ``canonical_diagram_code(d, fold_mirror=True)``, read off the class's
+    first height word, in the order of those words.  Folded Jones and the
+    normalised Alexander polynomial are mirror-invariant, so both run once
+    per class."""
+    words = list(_first_words(p, fold_mirror=True).values())
+    for w, v in zip(words, jones_triple_batch(p, words)):
+        d = TripleDiagram(p, w)
+        yield (fold_jones(v), str(alexander(d))), d
 
 
 def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
@@ -447,17 +439,19 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
     that only F tells apart, giving 27 classes at c3 = 4 (24 unflagged).
 
     A diagram and its mirror image have the same folded Jones, Alexander
-    and folded F (F's mirror is a -> 1/a), so the census reads one record
-    per mirror class from ``_project_classes``: Jones and Alexander, both
-    read off the triple diagram, run 177 times for the 351 distinct
-    diagrams at n <= 3.  F runs on each record whose (Jones, Alexander)
-    pair is first realized at the current n, and only those records are
-    deconstructed: 257 evaluations at n = 4, for 497 of the 4,967
-    nontrivial diagrams, counted in ``kauffman_evals_per_n`` once the n
-    finishes.  A diagram whose pair was already realized at a smaller n
-    joins that pair's classes unrefined, so a second knot hiding behind an
-    older pair is not detected; at n = 4 a sweep of F over all 4,967 finds
-    none (``test_census_n4_kauffman_sweep_of_every_diagram``).
+    and folded F (F's mirror is a -> 1/a), so the census reads one
+    ``(pair, diagram)`` record per class of the mirror-folded diagram code
+    from ``_project_classes``: Jones and Alexander, both read off the triple
+    diagram, run 177 times for the 351 distinct diagrams at n <= 3.  A new
+    class's witness is ``canonical_form`` of its record's diagram.  F runs
+    on each record whose (Jones, Alexander) pair is first realized at the
+    current n, and only those records are deconstructed: 257 evaluations at
+    n = 4, for 497 of the 4,967 nontrivial diagrams, counted in
+    ``kauffman_evals_per_n`` once the n finishes.  A diagram whose pair was
+    already realized at a smaller n joins that pair's classes unrefined, so
+    a second knot hiding behind an older pair is not detected; at n = 4 a
+    sweep of F over all 4,967 finds none
+    (``test_census_n4_kauffman_sweep_of_every_diagram``).
 
     Classes whose invariants factor as a product over smaller classes are
     flagged ``composite`` but stay in the census — flagged, never dropped.
@@ -471,8 +465,6 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
     through ``enumerate_projections`` (``tricross enumerate --n N
     --resume``); a stop in classification has no resume token.
     """
-    from .spd import serialize_spd
-
     run = ClassifyRun(max_n)
     unknot_pair = (fold_jones(HalfLaurent.one()), str(IntLaurent.from_int_coeffs({0: 1})))
     deadline = None
@@ -490,15 +482,14 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
             for p in projections:
                 if deadline is not None and time.monotonic() > deadline:
                     raise BudgetExceeded("time budget exhausted", [], None, n, "classify")
-                for pair, code, d in _project_classes(p, n):
+                for pair, d in _project_classes(p):
                     if pair == unknot_pair or pair in older_pairs:
                         continue
                     key = pair + (fold_kauffman(kauffman_f(convert_to_double(d))),)
                     evals += 1
                     if key not in run.classes:
                         run.classes[key] = KnotClass(
-                            *key, c3=n,
-                            witness_spd=serialize_spd(_diagram_from_code(code, n)))
+                            *key, c3=n, witness_spd=serialize_spd(canonical_form(d)))
             run.kauffman_evals_per_n[n] = evals
     except BudgetExceeded as exc:
         # keep what the n's before the stop found

@@ -36,6 +36,7 @@ _MAX_CROSSINGS = 16
 
 class _Homfly(Engine):
     delta = DELTA
+    max_nodes = 400_000
 
     def connected(self, dd: DoubleDiagram, tails: FrozenSet[int],
                   flips: FrozenSet[int]) -> Laurent2:
@@ -56,7 +57,6 @@ class _Homfly(Engine):
 def homfly(
     dd: DoubleDiagram,
     tails: FrozenSet[int] | None = None,
-    max_nodes: int = 400_000,
 ) -> Laurent2:
     """HOMFLY polynomial of an oriented link diagram."""
     if dd.n > _MAX_CROSSINGS:
@@ -68,7 +68,7 @@ def homfly(
         if len(walks) > 1:
             raise DiagramError("not a knot: a link needs its tails")
         tails = frozenset(*walks)
-    engine = _Homfly(max_nodes)
+    engine = _Homfly()
     result = engine.eval(dd, tails, frozenset())
     # a knot, or the crossingless unknot: both directions must agree
     if len(walks) <= 1:

@@ -50,6 +50,7 @@ def _self_writhe(dd: DoubleDiagram, flips: Flips) -> int:
 
 class _Kauffman(Engine):
     delta = DELTA_K
+    max_nodes = 2_000_000
 
     def kinked(self, value: Laurent2, kinks: int) -> Laurent2:
         return value.scale(1, kinks, 0) if kinks else value
@@ -65,13 +66,13 @@ class _Kauffman(Engine):
         return _Z * (s0 + s1) - switched
 
 
-def kauffman_lambda(dd: DoubleDiagram, max_nodes: int = 2_000_000) -> Laurent2:
+def kauffman_lambda(dd: DoubleDiagram) -> Laurent2:
     """Regular-isotopy Kauffman polynomial Lambda."""
-    return _Kauffman(max_nodes).eval(dd, frozenset(), frozenset())
+    return _Kauffman().eval(dd, frozenset(), frozenset())
 
 
-def kauffman_f(dd: DoubleDiagram, max_nodes: int = 2_000_000) -> Laurent2:
+def kauffman_f(dd: DoubleDiagram) -> Laurent2:
     """Kauffman polynomial F of a knot diagram: a^-w Lambda."""
     # orientations() refuses a link: F normalises by the knot writhe
     w = dd.writhe(dd.orientations()[0])
-    return kauffman_lambda(dd, max_nodes).scale(1, -w, 0)
+    return kauffman_lambda(dd).scale(1, -w, 0)

@@ -315,11 +315,6 @@ def natural_orientations(diagram: TripleDiagram) -> List[Orientation]:
     return orientations
 
 
-def reverse_orientation(diagram: TripleDiagram, o: Orientation) -> Orientation:
-    """The opposite traversal direction: every edge flips to its twin dart."""
-    return frozenset(diagram.alpha[d] for d in o)
-
-
 # ---------------------------------------------------------------------------
 # double (4-valent) diagrams
 # ---------------------------------------------------------------------------

@@ -186,13 +186,13 @@ def reduce(
 
 class Engine:
     """Memoised, node-budgeted recursion on reduced states; subclasses set
-    ``delta`` and implement ``connected``, and Kauffman's overrides
-    ``kinked``."""
+    ``delta`` and the node budget ``max_nodes`` and implement ``connected``;
+    Kauffman's overrides ``kinked``."""
 
     delta: Laurent2
+    max_nodes: int
 
-    def __init__(self, max_nodes: int) -> None:
-        self.max_nodes = max_nodes
+    def __init__(self) -> None:
         self.nodes = 0
         self.memo: Dict[Tuple[Tuple[int, ...], Darts, Flips], Laurent2] = {}
 

@@ -52,9 +52,9 @@ def projection_clock(monkeypatch):
     clock = [0.0]
     project = enumeration._project_classes
 
-    def tick(p, n):
+    def tick(p):
         clock[0] += 1
-        return project(p, n)
+        return project(p)
 
     monkeypatch.setattr(enumeration.time, "monotonic", lambda: clock[0])
     monkeypatch.setattr(enumeration, "_project_classes", tick)

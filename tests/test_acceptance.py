@@ -34,6 +34,7 @@ from tricross import (
     count_table,
     derive_triple_relation,
     enumerate_projections,
+    enumerate_raw_shadows,
     find_jr_sites,
     apply_move,
     identify,
@@ -92,6 +93,9 @@ N5_TOKEN_BEFORE_FIRST_PRIME = (
 
 def test_criterion_03_extended_n5_budgeted():
     if os.environ.get("TRICROSS_FULL_N5"):
+        # the README's search count: 5,187 shadows, 999 of them prime
+        shadows = list(enumerate_raw_shadows(5))
+        assert (len(shadows), sum(p.is_prime() for p in shadows)) == (5187, 999)
         projections = enumerate_projections(5)
         verdict(3, len(projections) == 116,
                 f"full n=5 projection census: {len(projections)}, target 116")

@@ -33,7 +33,7 @@ def _read(name):
                                   "BENCH_local_surgery.json", "BENCH_class_records.json",
                                   "BENCH_full_key.json", "BENCH_chain_minor.json",
                                   "BENCH_jones_routes.json", "BENCH_skein_splice.json",
-                                  "BENCH_resume_state.json"])
+                                  "BENCH_resume_state.json", "BENCH_folded_codes.json"])
 def test_summarise_reproduces_the_committed_blocks(name):
     bench_pairs = _load_bench_pairs()
     spec = _read("BENCHMARK.json")

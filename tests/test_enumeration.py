@@ -28,9 +28,16 @@ from tricross import (
     jones_triple,
     kauffman_f,
     rational_knot_pd,
+    serialize_spd,
 )
 from tricross import enumeration
-from tricross.canon import canonical_diagram_code, canonical_projection_code
+from tricross.canon import (
+    _diagram_from_code,
+    _frames,
+    canonical_diagram_code,
+    canonical_form,
+    canonical_projection_code,
+)
 from tricross.enumeration import HEIGHT_WORDS, _mark_composites
 from tricross.laurent import HalfLaurent, IntLaurent, Laurent2
 from tricross.maps import TripleProjection
@@ -402,32 +409,51 @@ def test_alexander_is_mirror_invariant(projections_n4):
         assert _alexander_string(d) == _alexander_string(mirror)
 
 
+def _mirror_classes(p):
+    """Reference grouping: the unfolded code of every height word on ``p``
+    in product order, where a word whose code is new opens a mirror class
+    that also takes the code of the word's T <-> B swap.  Returns the class
+    index of each unfolded code, and the first word and code of each class
+    in the order the classes open."""
+    swap = str.maketrans("TB", "BT")
+    codes = {words: canonical_diagram_code(TripleDiagram(p, words))
+             for words in itertools.product(HEIGHT_WORDS, repeat=p.n)}
+    klass, firsts = {}, []
+    for words, code in codes.items():
+        if code not in klass:
+            mirror = codes[tuple(w.translate(swap) for w in words)]
+            klass[code] = klass[mirror] = len(firsts)
+            firsts.append((words, code))
+    return klass, firsts
+
+
 def test_project_classes_reads_one_record_per_mirror_class(projections_n4):
-    """``_project_classes`` against a per-class reference: one record per
-    class of ``canonical_diagram_code(d, fold_mirror=True)``, in the order
-    of the classes' first members, with the first member's code and
-    diagram; and every distinct diagram has its class's pair, the mirror
-    invariance the stage relies on.  Every distinct diagram at
-    n <= 3; at n = 4, two seeded projections, with the pairs checked on 40
-    seeded distinct diagrams each."""
+    """``_project_classes`` against the reference grouping: one record per
+    mirror class, in the order of the classes' first words, with the first
+    word's diagram, whose canonical form is the diagram of the first word's
+    unfolded code; and every distinct diagram has its class's pair, the
+    mirror invariance the stage relies on.  Records and witnesses on every
+    projection at n <= 4 (three at n = 4 have two canonical frames, one
+    has four); pairs on every distinct diagram at n <= 3 and on 40 seeded
+    distinct diagrams of each of two seeded n = 4 projections."""
+    frames = Counter(len(_frames(p.alpha, 4, (1, -1))[1]) for p in projections_n4)
+    assert frames == {1: 11, 2: 3, 4: 1}
     rng = random.Random(23)
+    sampled = rng.sample(range(len(projections_n4)), 2)
     cases = [(p, None) for n in (2, 3) for p in enumerate_projections(n)]
-    cases += [(p, 40) for p in rng.sample(projections_n4, 2)]
+    cases += [(p, 40 if i in sampled else 0) for i, p in enumerate(projections_n4)]
     for p, sample in cases:
-        reference = _distinct_words(p)
-        diagrams = [TripleDiagram(p, words) for words, _ in reference]
-        folded = [canonical_diagram_code(d, fold_mirror=True) for d in diagrams]
-        first = {}
-        for i, key in enumerate(folded):
-            first.setdefault(key, i)
-        got = list(enumeration._project_classes(p, p.n))
-        assert [code for _, code, _ in got] == [reference[i][1] for i in first.values()]
-        assert [d for _, _, d in got] == [diagrams[i] for i in first.values()]
-        pair = {key: record[0] for key, record in zip(first, got)}
-        checked = range(len(diagrams)) if sample is None else rng.sample(range(len(diagrams)), sample)
-        for i in checked:
-            d = diagrams[i]
-            assert pair[folded[i]] == (fold_jones(jones_triple(d)), _alexander_string(d))
+        klass, firsts = _mirror_classes(p)
+        got = list(enumeration._project_classes(p))
+        assert [d for _, d in got] == [TripleDiagram(p, words) for words, _ in firsts]
+        assert [serialize_spd(canonical_form(d)) for _, d in got] == [
+            serialize_spd(_diagram_from_code(code, p.n)) for _, code in firsts]
+        distinct = _distinct_words(p) if sample != 0 else []
+        if sample is not None:
+            distinct = rng.sample(distinct, sample)
+        for words, code in distinct:
+            d = TripleDiagram(p, words)
+            assert got[klass[code]][0] == (fold_jones(jones_triple(d)), _alexander_string(d))
 
 
 def test_m_orbit_merge_keeps_every_jones_alexander_pair(projections_n4):
@@ -437,7 +463,7 @@ def test_m_orbit_merge_keeps_every_jones_alexander_pair(projections_n4):
     every mirror class of the 65 shadows."""
     def pairs(projections):
         return {pair for p in projections
-                for pair, _, _ in enumeration._project_classes(p, p.n)}
+                for pair, _ in enumeration._project_classes(p)}
 
     primes = [p for p in enumerate_raw_shadows(4) if p.is_prime()]
     assert (len(primes), len(projections_n4)) == (65, 15)
@@ -627,7 +653,7 @@ def test_census_n4_kauffman_sweep_of_every_diagram(run_n4, reference):
     unknot = (fold_jones(HalfLaurent.one()), str(IntLaurent.from_int_coeffs({0: 1})))
     fs_by_pair = {}
     for p in enumerate_projections(4):
-        for pair, _, d in enumeration._project_classes(p, 4):
+        for pair, d in enumeration._project_classes(p):
             if pair != unknot:
                 fs_by_pair.setdefault(pair, set()).add(
                     fold_kauffman(kauffman_f(convert_to_double(d))))

@@ -10,7 +10,8 @@ from tricross import (
     parse_spd,
     rational_knot_pd,
 )
-from tricross.homfly import DELTA
+from tricross.homfly import DELTA, _Homfly
+from tricross.kauffman import _Kauffman
 from tricross.laurent import Laurent2
 from conftest import PD_FIG8, PD_KINK, PD_TREFOIL, T2_1, T2_2
 
@@ -47,11 +48,13 @@ def test_fig8_value_is_amphichiral():
     assert got == got.mirror()
 
 
-@pytest.mark.parametrize("invariant", [homfly, kauffman_f], ids=["homfly", "kauffman_f"])
-def test_budget_error_raised(invariant):
+@pytest.mark.parametrize("invariant, engine", [(homfly, _Homfly), (kauffman_f, _Kauffman)],
+                         ids=["homfly", "kauffman_f"])
+def test_budget_error_raised(invariant, engine, monkeypatch):
     dd = convert_to_double(parse_spd(T2_2))
-    with pytest.raises(BudgetError):
-        invariant(dd, max_nodes=3)
+    monkeypatch.setattr(engine, "max_nodes", 3)
+    with pytest.raises(BudgetError, match=r"node budget \(3\)"):
+        invariant(dd)
 
 
 def _hopf():

@@ -11,7 +11,6 @@ from tricross import (
     TripleProjection,
     natural_orientations,
     parse_spd,
-    reverse_orientation,
 )
 from conftest import PD_FIG8, PD_KINK, PD_TREFOIL, T2_1, T2_2
 
@@ -58,8 +57,9 @@ def test_natural_orientations_exactly_two_and_reverse():
         d = parse_spd(text)
         orients = natural_orientations(d)
         assert len(orients) == 2
-        assert reverse_orientation(d, orients[0]) == orients[1]
-        assert reverse_orientation(d, orients[1]) == orients[0]
+        # the two are mutual reversals: every edge flips to its twin dart
+        assert frozenset(d.alpha[e] for e in orients[0]) == orients[1]
+        assert frozenset(d.alpha[e] for e in orients[1]) == orients[0]
 
 
 def test_double_diagram_from_pd_roundtrip_counts():
