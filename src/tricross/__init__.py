@@ -1,5 +1,10 @@
 """Triple-crossing knot diagrams: combinatorial maps, polynomial invariants,
-exhaustive enumeration, and tabulation."""
+exhaustive enumeration, and tabulation.
+
+``tricross.alexander`` and ``tricross.homfly`` are the functions, not their
+submodules, which stay importable by ``from``: callers that wrap invariants
+by package attribute, as the benchmark's tracer does, rely on that.
+"""
 
 from .alexander import alexander
 from .canon import (
@@ -52,8 +57,6 @@ from .moves import (
     M2,
     MoveSite,
     StaleSiteError,
-    apply_jr,
-    apply_jr_prime,
     apply_m,
     apply_move,
     find_jr_sites,

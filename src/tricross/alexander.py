@@ -40,11 +40,11 @@ crossings the tangle of :mod:`tangle` deconstructs a triple crossing into.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
 
 from .laurent import IntLaurent
-from .maps import HEIGHT_RANK, DiagramError, DoubleDiagram, TripleDiagram, TripleProjection
+from .maps import (HEIGHT_RANK, HEIGHT_WORDS, DiagramError, DoubleDiagram, TripleDiagram,
+                   TripleProjection)
 from .tangle import TANGLE_STRANDS, local_crossing_sign
 
 
@@ -180,7 +180,7 @@ _PASSES_UNDER = {
     w: tuple(local_crossing_sign(_SUB_CROSSING[frozenset((j, k))], w)
              if j != k and HEIGHT_RANK[w[j]] < HEIGHT_RANK[w[k]] else 0
              for j in range(3) for k in range(3))
-    for w in map("".join, permutations("TMB"))
+    for w in HEIGHT_WORDS
 }
 
 

@@ -44,12 +44,11 @@ from .canon import (
 from .jones import jones_triple_batch
 from .kauffman import kauffman_f
 from .laurent import HalfLaurent, IntLaurent, Laurent2
-from .maps import DiagramError, InternalConsistencyError, TripleDiagram, TripleProjection
+from .maps import (HEIGHT_WORDS, DiagramError, InternalConsistencyError, TripleDiagram,
+                   TripleProjection)
 from .moves import apply_m, find_m_sites
 from .spd import serialize_spd
 from .tangle import convert_to_double
-
-HEIGHT_WORDS = tuple("".join(w) for w in itertools.permutations("TMB"))
 
 
 @dataclass

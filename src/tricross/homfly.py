@@ -40,9 +40,9 @@ class _Homfly(Engine):
 
     def connected(self, dd: DoubleDiagram, tails: FrozenSet[int],
                   flips: FrozenSet[int]) -> Laurent2:
-        bad = first_bad_crossing(dd, tails, flips)
+        bad, walks = first_bad_crossing(dd, tails, flips)
         if bad is None:
-            return DELTA ** (len(dd.walks(tails)) - 1)
+            return DELTA ** (len(walks) - 1)
         shadow_sign = dd.crossing_sign(bad, tails)
         sign = -shadow_sign if bad in flips else shadow_sign
         p_switch = self.eval(dd, tails, flips ^ {bad})

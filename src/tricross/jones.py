@@ -33,7 +33,8 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .alexander import _balanced_digits
 from .laurent import HalfLaurent
-from .maps import DiagramError, DoubleDiagram, TripleDiagram, TripleProjection, _cycles
+from .maps import (HEIGHT_WORDS, DiagramError, DoubleDiagram, TripleDiagram, TripleProjection,
+                   _cycles)
 from .tangle import local_tangle, local_writhe
 
 Matching = FrozenSet[FrozenSet[int]]
@@ -358,7 +359,7 @@ def derive_triple_relation() -> TripleRelation:
     correction factor.
     """
     by_height: Dict[str, Dict[Matching, HalfLaurent]] = {}
-    for word in ("".join(p) for p in itertools.permutations("TMB")):
+    for word in HEIGHT_WORDS:
         w = local_writhe(word)
         coeffs: Dict[Matching, HalfLaurent] = {}
         for matching, apoly in _tangle_bracket(word).items():

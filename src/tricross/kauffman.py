@@ -21,7 +21,7 @@ descending) and smoothed both ways: its two smoothings are the slot parities
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from .laurent import Laurent2
 from .maps import DoubleDiagram
@@ -32,12 +32,12 @@ DELTA_K = Laurent2({(1, -1): 1, (-1, -1): 1, (0, 0): -1})  # (a + a^-1)/z - 1
 _Z = Laurent2({(0, 1): 1})
 
 
-def _self_writhe(dd: DoubleDiagram, flips: Flips) -> int:
-    """Sum over components of the signed self-crossings (orientation-free)."""
-    comps = dd.walks()
-    tails = frozenset(d for walk in comps for d in walk)
+def _self_writhe(dd: DoubleDiagram, flips: Flips, walks: List[List[int]]) -> int:
+    """Sum over components of the signed self-crossings (orientation-free),
+    with ``walks`` one strand walk per component."""
+    tails = frozenset(d for walk in walks for d in walk)
     comp_of: Dict[int, set] = {}
-    for i, walk in enumerate(comps):
+    for i, walk in enumerate(walks):
         for d in walk:
             comp_of.setdefault(d // 4, set()).add(i)
     w = 0
@@ -56,10 +56,9 @@ class _Kauffman(Engine):
         return value.scale(1, kinks, 0) if kinks else value
 
     def connected(self, dd: DoubleDiagram, tails: Darts, flips: Flips) -> Laurent2:
-        bad = first_bad_crossing(dd, tails, flips)
+        bad, walks = first_bad_crossing(dd, tails, flips)
         if bad is None:
-            k = len(dd.walks())
-            return (DELTA_K ** (k - 1)).scale(1, _self_writhe(dd, flips), 0)
+            return (DELTA_K ** (len(walks) - 1)).scale(1, _self_writhe(dd, flips, walks), 0)
         s0 = self.smoothed(dd, tails, flips, bad, 0)
         s1 = self.smoothed(dd, tails, flips, bad, 1)
         switched = self.eval(dd, tails, flips ^ {bad})

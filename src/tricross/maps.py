@@ -23,6 +23,9 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Type, TypeVar
 
 HEIGHT_RANK = {"T": 2, "M": 1, "B": 0}
+# The six height words, as ``itertools.permutations("TMB")`` orders them: the
+# census reads words in product order over this tuple, which fixes witnesses.
+HEIGHT_WORDS = ("TMB", "TBM", "MTB", "MBT", "BTM", "BMT")
 
 Orientation = FrozenSet[int]  # the set of darts pointing away from their crossing
 
@@ -251,7 +254,7 @@ class TripleDiagram:
         if len(heights) != projection.n:
             raise DiagramError("one height word per crossing required")
         for w in heights:
-            if sorted(w) != ["B", "M", "T"]:
+            if w not in HEIGHT_WORDS:
                 raise DiagramError(f"height word {w!r} is not a permutation of T, M, B")
         self.projection = projection
         self.heights = heights

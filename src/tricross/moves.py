@@ -17,12 +17,16 @@ On diagrams, the monogon slide with all height words kept is a knot-preserving
 move whenever the sliding strand passes the crossing as the top or the bottom
 strand; ``JR`` is the top variant and ``JR'`` the bottom one.  The move is
 its own inverse (apply it at the image site to undo it).
+
+Every move kind is one row of one table, ``_MOVES``, read by one site scan
+and by one applier, :func:`apply_move`; knot moves proven later become
+further rows of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 from .maps import DiagramError, TripleDiagram, TripleProjection
 
@@ -65,9 +69,6 @@ def _is_bigon_anchor(p: TripleProjection, c: int, s: int) -> bool:
     return u // 6 != c and u == 6 * (v // 6) + (v + 1) % 6
 
 
-_ANCHORS = {M1: (_is_monogon_anchor, "monogon"), M2: (_is_bigon_anchor, "bigon")}
-
-
 def _slide_projection(p: TripleProjection, c: int, s: int) -> Optional[TripleProjection]:
     """Apply the slide; None when the result is not a valid knot shadow."""
     q = TripleProjection(_slide_alpha(p.alpha, p.n, c, s), p.n)
@@ -78,79 +79,71 @@ def _slide_projection(p: TripleProjection, c: int, s: int) -> Optional[TriplePro
     return q
 
 
-def find_m_sites(p: TripleProjection) -> List[MoveSite]:
-    """All applicable M1 and M2 sites of a projection."""
-    return [MoveSite(kind, c, s)
-            for kind, (is_anchor, _) in _ANCHORS.items()
-            for c in range(p.n) for s in range(6)
-            if is_anchor(p, c, s) and _slide_projection(p, c, s) is not None]
+# Per move kind: the anchor rule, the face slid across (named when a site is
+# stale) and the level that the sliding strand, strand ``(s + 2) % 3`` of the
+# crossing, must have on a diagram; None for a projection move.
+_MOVES = {
+    M1: (_is_monogon_anchor, "monogon", None),
+    M2: (_is_bigon_anchor, "bigon", None),
+    JR: (_is_monogon_anchor, "monogon", "T"),
+    JR_PRIME: (_is_monogon_anchor, "monogon", "B"),
+}
 
 
-def apply_m(p: TripleProjection, site: MoveSite) -> TripleProjection:
-    if site.kind not in _ANCHORS:
-        raise DiagramError(f"apply_m expects an M1/M2 site, got {site.kind!r}")
-    is_anchor, face = _ANCHORS[site.kind]
-    if not (0 <= site.crossing < p.n and 0 <= site.slot < 6
-            and is_anchor(p, site.crossing, site.slot)):
-        raise StaleSiteError(f"no {face} at the referenced anchor")
-    q = _slide_projection(p, site.crossing, site.slot)
-    if q is None:
-        raise StaleSiteError("slide at the referenced anchor is not applicable")
-    return q
-
-
-def _jr_sites(d: TripleDiagram, level: str, kind: str) -> List[MoveSite]:
+def _sites(p: TripleProjection, heights: Optional[Sequence[str]],
+           kinds: Sequence[str]) -> List[MoveSite]:
+    """The applicable sites of ``kinds`` on ``p`` with height words ``heights``
+    (None on a projection), by kind, then crossing, then slot."""
     sites = []
-    p = d.projection
-    for c in range(p.n):
-        for s in range(6):
-            if not _is_monogon_anchor(p, c, s):
-                continue
-            if d.heights[c][(s + 2) % 3] != level:
-                continue  # side condition: sliding arc on top (JR) / bottom (JR')
-            if _slide_projection(p, c, s) is None:
-                continue
-            sites.append(MoveSite(kind, c, s))
+    for kind in kinds:
+        is_anchor, _, level = _MOVES[kind]
+        sites += [MoveSite(kind, c, s) for c in range(p.n) for s in range(6)
+                  if is_anchor(p, c, s)
+                  and (level is None or heights[c][(s + 2) % 3] == level)
+                  and _slide_projection(p, c, s) is not None]
     return sites
 
 
+def find_m_sites(p: TripleProjection) -> List[MoveSite]:
+    """All applicable M1 and M2 sites of a projection."""
+    return _sites(p, None, (M1, M2))
+
+
 def find_jr_sites(d: TripleDiagram) -> List[MoveSite]:
-    return _jr_sites(d, "T", JR) + _jr_sites(d, "B", JR_PRIME)
-
-
-def _apply_jr_kind(d: TripleDiagram, site: MoveSite, level: str) -> TripleDiagram:
-    q = apply_m(d.projection, MoveSite(M1, site.crossing, site.slot))
-    if d.heights[site.crossing][(site.slot + 2) % 3] != level:
-        raise StaleSiteError(
-            "height side condition violated: sliding arc is not the "
-            + ("top" if level == "T" else "bottom")
-            + " strand"
-        )
-    out = TripleDiagram(q, list(d.heights))
-    out.validate()
-    return out
-
-
-def apply_jr(d: TripleDiagram, site: MoveSite) -> TripleDiagram:
-    if site.kind != JR:
-        raise DiagramError(f"apply_jr expects a JR site, got {site.kind!r}")
-    return _apply_jr_kind(d, site, "T")
-
-
-def apply_jr_prime(d: TripleDiagram, site: MoveSite) -> TripleDiagram:
-    if site.kind != JR_PRIME:
-        raise DiagramError(f"apply_jr_prime expects a JR' site, got {site.kind!r}")
-    return _apply_jr_kind(d, site, "B")
+    """All applicable JR and JR' sites of a diagram."""
+    return _sites(d.projection, d.heights, (JR, JR_PRIME))
 
 
 def apply_move(
     obj: Union[TripleProjection, TripleDiagram], site: MoveSite
 ) -> Union[TripleProjection, TripleDiagram]:
-    """Dispatch on the site kind."""
-    if site.kind in (M1, M2):
-        if not isinstance(obj, TripleProjection):
-            raise DiagramError("M moves apply to projections")
-        return apply_m(obj, site)
-    if not isinstance(obj, TripleDiagram):
-        raise DiagramError("J moves apply to diagrams")
-    return apply_jr(obj, site) if site.kind == JR else apply_jr_prime(obj, site)
+    """The slide at ``site``: a projection for an M1/M2 site, and for a
+    JR/JR' site a validated diagram with every height word kept.  A site
+    that does not match ``obj`` raises :class:`StaleSiteError`."""
+    if site.kind not in _MOVES:
+        raise DiagramError(f"unknown move kind {site.kind!r}")
+    is_anchor, face, level = _MOVES[site.kind]
+    if not isinstance(obj, TripleProjection if level is None else TripleDiagram):
+        raise DiagramError("M moves apply to projections" if level is None
+                           else "J moves apply to diagrams")
+    p = obj if level is None else obj.projection
+    c, s = site.crossing, site.slot
+    if not (0 <= c < p.n and 0 <= s < 6 and is_anchor(p, c, s)):
+        raise StaleSiteError(f"no {face} at the referenced anchor")
+    if level is not None and obj.heights[c][(s + 2) % 3] != level:
+        raise StaleSiteError(f"the sliding strand is not at level {level}")
+    q = _slide_projection(p, c, s)
+    if q is None:
+        raise StaleSiteError("slide at the referenced anchor is not applicable")
+    if level is None:
+        return q
+    out = TripleDiagram(q, obj.heights)
+    out.validate()
+    return out
+
+
+def apply_m(p: TripleProjection, site: MoveSite) -> TripleProjection:
+    """:func:`apply_move` for an M1 or M2 site."""
+    if site.kind not in (M1, M2):
+        raise DiagramError(f"apply_m expects an M1/M2 site, got {site.kind!r}")
+    return apply_move(p, site)

@@ -58,18 +58,23 @@ class BudgetError(RuntimeError):
     """The skein recursion exceeded its crossing or node budget."""
 
 
-def first_bad_crossing(dd: DoubleDiagram, tails: Darts, flips: Flips) -> Optional[int]:
-    """First crossing, in walk order, first reached on its under-strand."""
+def first_bad_crossing(
+    dd: DoubleDiagram, tails: Darts, flips: Flips
+) -> Tuple[Optional[int], List[List[int]]]:
+    """First crossing, in walk order, first reached on its under-strand
+    (None for a descending diagram), and the strand walks read: those of
+    ``tails``, or one per component in an unoriented recursion."""
+    walks = dd.walks(tails or None)
     visited = set()
-    for walk in dd.walks(tails or None):
+    for walk in walks:
         for d in walk:
             c = d // 4
             if c in visited:
                 continue
             visited.add(c)
             if (d % 4 in (0, 2)) != (c in flips):
-                return c
-    return None
+                return c, walks
+    return None, walks
 
 
 def _renumber(

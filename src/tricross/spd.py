@@ -58,19 +58,13 @@ def parse_spd(text: str) -> Union[TripleProjection, TripleDiagram]:
     words = [w for _, w in crossings]
     if any(w is not None for w in words) and any(w is None for w in words):
         raise SpdSyntaxError("height words must be present at all crossings or none")
-    with_heights = words[0] is not None
-    if with_heights:
-        for w in words:
-            if sorted(w) != ["B", "M", "T"]:
-                raise SpdSyntaxError(f"height word {w!r} is not a permutation of T, M, B")
-
     try:
         proj = TripleProjection.from_labels([labels for labels, _ in crossings])
+        if words[0] is None:
+            return proj
+        diagram = TripleDiagram(proj, words)
     except DiagramError as exc:
         raise SpdSyntaxError(str(exc)) from exc
-    if not with_heights:
-        return proj
-    diagram = TripleDiagram(proj, [w for _, w in crossings])
     diagram.validate()
     return diagram
 

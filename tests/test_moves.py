@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from tricross import (
@@ -5,11 +8,11 @@ from tricross import (
     JR_PRIME,
     M1,
     M2,
+    DiagramError,
     MoveSite,
     StaleSiteError,
+    TripleDiagram,
     alexander,
-    apply_jr,
-    apply_jr_prime,
     apply_m,
     apply_move,
     convert_to_double,
@@ -19,7 +22,7 @@ from tricross import (
     jones_triple,
     parse_spd,
 )
-from tricross.enumeration import enumerate_raw_shadows
+from tricross.enumeration import HEIGHT_WORDS, enumerate_raw_shadows
 from tricross.moves import _slide_projection
 from conftest import T2_1, T2_2
 
@@ -37,18 +40,37 @@ def _face_anchors(p):
     return sites
 
 
+def _assert_sites(sites, expected, kinds):
+    """``sites`` are ``expected``, each once, by kind, then crossing, then slot."""
+    assert set(sites) == expected
+    assert sites == sorted(expected, key=lambda t: (kinds.index(t.kind), t.crossing, t.slot))
+
+
 @pytest.mark.parametrize("fold_mirror", [True, False])
 def test_m_sites_are_the_face_anchors(fold_mirror):
-    anchors = 0
+    """M1/M2 sites are the face anchors whose slide is a shadow; JR/JR'
+    sites are the M1 sites whose sliding strand is on top/at the bottom:
+    every height word at n <= 2, seeded words at n = 3."""
+    rng = random.Random(3)
+    anchors = {M1: 0, M2: 0, JR: 0, JR_PRIME: 0}
     for n in (1, 2, 3):
         for p in enumerate_raw_shadows(n, fold_mirror=fold_mirror):
             expected = {site for site in _face_anchors(p)
                         if _slide_projection(p, site.crossing, site.slot) is not None}
-            sites = find_m_sites(p)
-            assert len(sites) == len(set(sites))
-            assert set(sites) == expected
-            anchors += len(sites)
-    assert anchors > 0
+            _assert_sites(find_m_sites(p), expected, [M1, M2])
+            for site in expected:
+                anchors[site.kind] += 1
+            words_list = (itertools.product(HEIGHT_WORDS, repeat=n) if n <= 2 else
+                          [[rng.choice(HEIGHT_WORDS) for _ in range(n)] for _ in range(6)])
+            for words in words_list:
+                expected_j = {MoveSite(kind, s.crossing, s.slot)
+                              for s in expected if s.kind == M1
+                              for kind, level in ((JR, "T"), (JR_PRIME, "B"))
+                              if words[s.crossing][(s.slot + 2) % 3] == level}
+                _assert_sites(find_jr_sites(TripleDiagram(p, words)), expected_j, [JR, JR_PRIME])
+                for site in expected_j:
+                    anchors[site.kind] += 1
+    assert all(anchors.values())
 
 
 def test_m_sites_exist_on_two_crossing_projection():
@@ -84,19 +106,41 @@ def test_m_move_site_out_of_range_is_stale(kind, crossing, slot):
         apply_m(p, MoveSite(kind, crossing, slot))
 
 
-@pytest.mark.parametrize("apply, kind", [(apply_jr, JR), (apply_jr_prime, JR_PRIME)])
+@pytest.mark.parametrize("kind", [JR, JR_PRIME])
 @pytest.mark.parametrize("crossing,slot", [(2, 0), (-1, 0), (0, 6), (0, -1)])
-def test_jr_move_site_out_of_range_is_stale(apply, kind, crossing, slot):
+def test_jr_move_site_out_of_range_is_stale(kind, crossing, slot):
     with pytest.raises(StaleSiteError):
-        apply(parse_spd(T2_1), MoveSite(kind, crossing, slot))
+        apply_move(parse_spd(T2_1), MoveSite(kind, crossing, slot))
+
+
+@pytest.mark.parametrize("case, error", [
+    ("m_on_diagram", DiagramError), ("j_on_projection", DiagramError),
+    ("unknown_kind", DiagramError), ("apply_m_of_j", DiagramError),
+    ("jr_middle_strand", StaleSiteError), ("jr_prime_middle_strand", StaleSiteError),
+])
+def test_apply_move_refuses_a_site_of_another_kind_or_object(case, error):
+    """An M site on a diagram, a J site on a projection, an unknown kind and
+    a J site given to ``apply_m`` are refused as such; a J site whose sliding
+    strand is the middle one is stale."""
+    d = parse_spd(T2_1)
+    m1 = next(s for s in find_m_sites(d.projection) if s.kind == M1)
+    c, s = m1.crossing, m1.slot
+    middle = TripleDiagram(d.projection,
+                           [next(w for w in HEIGHT_WORDS if w[(s + 2) % 3] == "M")] * d.n)
+    apply, obj, site = {
+        "m_on_diagram": (apply_move, d, m1),
+        "j_on_projection": (apply_move, d.projection, MoveSite(JR, c, s)),
+        "unknown_kind": (apply_move, d, MoveSite("M3", c, s)),
+        "apply_m_of_j": (apply_m, d, MoveSite(JR, c, s)),
+        "jr_middle_strand": (apply_move, middle, MoveSite(JR, c, s)),
+        "jr_prime_middle_strand": (apply_move, middle, MoveSite(JR_PRIME, c, s)),
+    }[case]
+    with pytest.raises(DiagramError) as info:
+        apply(obj, site)
+    assert type(info.value) is error
 
 
 def test_jr_moves_preserve_invariants_on_two_crossing_diagrams():
-    import itertools
-
-    from tricross import TripleDiagram
-    from tricross.enumeration import HEIGHT_WORDS
-
     p = parse_spd(T2_1).projection
     applications = 0
     for words in itertools.product(HEIGHT_WORDS, repeat=2):
@@ -112,19 +156,14 @@ def test_jr_moves_preserve_invariants_on_two_crossing_diagrams():
 
 
 def test_apply_jr_and_prime_dispatch():
-    import itertools
-
-    from tricross import TripleDiagram
-    from tricross.enumeration import HEIGHT_WORDS
-
+    """A JR/JR' site slides the diagram's projection as the M1 site at its
+    anchor does, and keeps every height word."""
     p = parse_spd(T2_1).projection
     seen = set()
     for words in itertools.product(HEIGHT_WORDS, repeat=2):
         d = TripleDiagram(p, list(words))
         for site in find_jr_sites(d):
             seen.add(site.kind)
-            if site.kind == "JR":
-                assert apply_jr(d, site).n == d.n
-            else:
-                assert apply_jr_prime(d, site).n == d.n
-    assert seen == {"JR", "JR'"}
+            slid = apply_move(p, MoveSite(M1, site.crossing, site.slot))
+            assert apply_move(d, site) == TripleDiagram(slid, d.heights)
+    assert seen == {JR, JR_PRIME}
