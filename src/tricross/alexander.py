@@ -32,9 +32,10 @@ det M(B), whose balanced base-``B`` digits (each in
 
 :func:`alexander` reads the under-passages off either kind of diagram: off
 a :class:`DoubleDiagram` through :func:`_wirtinger`, and off a
-:class:`TripleDiagram` through one strand walk of its projection, where the
-height words say which strand passes under at each of the three double
-crossings the tangle of :mod:`tangle` deconstructs a triple crossing into.
+:class:`TripleDiagram` through one strand walk of its projection.  Inside a
+triple crossing, :func:`tangle.local_walk` gives the order in which each
+strand meets the other two at the three double crossings it deconstructs
+into, and the sign of each; the height word says which strand passes under.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
 from .laurent import IntLaurent
 from .maps import (HEIGHT_RANK, HEIGHT_WORDS, DiagramError, DoubleDiagram, TripleDiagram,
                    TripleProjection)
-from .tangle import TANGLE_STRANDS, local_crossing_sign
+from .tangle import local_walk
 
 
 def _int_det(mat: List[List[int]]) -> int:
@@ -171,17 +172,26 @@ def _chain_alexander(passes: Sequence[Tuple[int, int]]) -> IntLaurent:
     return _normalize(_balanced_digits(_int_det(mat), base))
 
 
-# The tangle's sub-crossing of each pair of strands.
-_SUB_CROSSING = {frozenset(TANGLE_STRANDS[x]): x for x in "abc"}
-# Per height word and ordered strand pair ``3 j + k``: 0 when strand ``j``
-# passes over strand ``k``, else the sign of their double crossing with both
-# strands in the natural direction (slots 0, 2, 4 incoming).
-_PASSES_UNDER = {
-    w: tuple(local_crossing_sign(_SUB_CROSSING[frozenset((j, k))], w)
-             if j != k and HEIGHT_RANK[w[j]] < HEIGHT_RANK[w[k]] else 0
-             for j in range(3) for k in range(3))
-    for w in HEIGHT_WORDS
-}
+# Per strand ``j`` in its natural direction (slots 0, 2, 4 incoming), the
+# double crossings it meets, in order, as (sub-crossing, pair ``3 j + k``);
+# every height word walks them in the same order.
+_ALONG = tuple(tuple((i, 3 * j + k) for i, k in meets)
+               for j, meets in enumerate(local_walk(HEIGHT_WORDS[0])[0]))
+
+
+def _passes_under(word: str) -> Tuple[int, ...]:
+    """Per ordered strand pair ``3 j + k``: 0 when strand ``j`` passes over
+    strand ``k``, else the sign of their double crossing in ``word``."""
+    meets, signs = local_walk(word)
+    row = [0] * 9
+    for j, strand in enumerate(meets):
+        for i, k in strand:
+            if HEIGHT_RANK[word[j]] < HEIGHT_RANK[word[k]]:
+                row[3 * j + k] = signs[i]
+    return tuple(row)
+
+
+_PASSES_UNDER = {w: _passes_under(w) for w in HEIGHT_WORDS}
 
 
 @lru_cache(maxsize=2)
@@ -194,10 +204,11 @@ def _meetings(alpha: Tuple[int, ...], n: int) -> Tuple[Tuple[int, int, int, int]
     a strand runs in the natural direction.  A projection that is not
     spherical, or not one curve, raises :class:`DiagramError`.
 
-    In the natural direction strand ``j`` meets strand ``j - 1`` and then
-    ``j + 1``; it runs naturally exactly when it leaves through its odd slot.
-    The census reads the height words of one projection in a row, so a
-    small cache suffices."""
+    The order in which strand ``j`` meets the other two in its natural
+    direction is :func:`tangle.local_walk`'s, reversed where it runs
+    against it; it runs naturally exactly when it leaves through its odd
+    slot.  The census reads the height words of one projection in a row, so
+    a small cache suffices."""
     p = TripleProjection(alpha, n)
     p.validate()
     walks = p.walks()
@@ -212,9 +223,8 @@ def _meetings(alpha: Tuple[int, ...], n: int) -> Tuple[Tuple[int, int, int, int]
     for d in order:
         t, j = d // 6, d % 6 % 3
         sense = direction[t][j]
-        for k in ((j - sense) % 3, (j + sense) % 3):
-            out.append((t, 3 * t + "abc".index(_SUB_CROSSING[frozenset((j, k))]),
-                        3 * j + k, sense * direction[t][k]))
+        for i, pair in _ALONG[j][::sense]:
+            out.append((t, 3 * t + i, pair, sense * direction[t][pair % 3]))
     return tuple(out)
 
 

@@ -128,12 +128,13 @@ def canonical_diagram_code(
 
 
 def canonical_form(
-    obj: Union[TripleProjection, TripleDiagram], fold_mirror: bool = False
+    obj: Union[TripleProjection, TripleDiagram]
 ) -> Union[TripleProjection, TripleDiagram]:
-    """Rebuild the object with the canonical labeling applied."""
+    """Rebuild the object with the canonical labeling applied: for a
+    projection, mirror images folded; for a diagram, the same knot only."""
     if isinstance(obj, TripleDiagram):
-        return _diagram_from_code(canonical_diagram_code(obj, fold_mirror), obj.n)
-    return TripleProjection(canonical_projection_code(obj, fold_mirror), obj.n)
+        return _diagram_from_code(canonical_diagram_code(obj), obj.n)
+    return TripleProjection(canonical_projection_code(obj), obj.n)
 
 
 def _diagram_from_code(code: Tuple, n: int) -> TripleDiagram:

@@ -119,7 +119,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         lines = [
             json.dumps({"type": "projection", "n": args.n, "partial": True,
                         "spd": serialize_spd(TripleProjection(code, args.n))})
-            for code in exc.partial
+            for code in json.loads(exc.resume_token)["partial"]
         ]
         lines.append(json.dumps({"type": "resume", "n": args.n,
                                  "token": exc.resume_token}))
@@ -135,7 +135,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     ]
     lines.append(json.dumps({"type": "count", "n": args.n,
                              "projections": len(projections)}))
-    _emit(out, "\n".join(lines) if lines else "")
+    _emit(out, "\n".join(lines))
     return EXIT_OK
 
 

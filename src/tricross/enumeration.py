@@ -21,9 +21,10 @@ M1/M2 slides; one canonical representative per orbit is kept, giving the
 census counts 1, 2, 15, 116 for n = 2..5.
 
 Long runs honour a wall-clock budget: on expiry a ``BudgetExceeded`` error
-names the n and the stage of the stop and, in the search, carries the partial
-results and a resume token (the decision path and the partial codes), which
-``enumerate_projections`` accepts to continue the search.
+names the n and the stage of the stop and, in the search, carries a resume
+token: the decision path and the codes of the prime shadows found so far,
+the one copy of them, which ``enumerate_projections`` accepts to continue
+the search.
 """
 
 from __future__ import annotations
@@ -59,18 +60,18 @@ class Budget:
 
 class BudgetExceeded(RuntimeError):
     """Raised when a budget expires at crossing count ``n`` in ``stage``
-    (``"search"`` or ``"classify"``); carries partial results and, for a stop
-    in the search, a resume token: the JSON object ``{"n", "fold_mirror",
-    "path", "partial"}``, the whole state that ``enumerate_projections``
-    resumes from.  A stop inside ``classify`` also carries the
-    ``ClassifyRun`` of the n's finished before it as ``run``."""
+    (``"search"`` or ``"classify"``).  A stop in the search carries a resume
+    token: the JSON object ``{"n", "fold_mirror", "path", "partial"}``, the
+    whole state that ``enumerate_projections`` resumes from, whose
+    ``"partial"`` lists the codes of the prime shadows found before the
+    stop.  A stop inside ``classify`` carries the ``ClassifyRun`` of the n's
+    finished before it as ``run``."""
 
     run: Optional["ClassifyRun"] = None
 
-    def __init__(self, message: str, partial: list, resume_token: Optional[str],
+    def __init__(self, message: str, resume_token: Optional[str],
                  n: int, stage: str) -> None:
         super().__init__(f"{message} at n = {n} in the {stage} stage")
-        self.partial = partial
         self.resume_token = resume_token
         self.n = n
         self.stage = stage
@@ -229,7 +230,7 @@ def enumerate_raw_shadows(
         # the token ends with the pairing not yet tried, where a resumed
         # search picks up
         token = json.dumps({"n": n, "fold_mirror": fold_mirror, "path": path + [e]})
-        raise BudgetExceeded(message, [], token, n, "search")
+        raise BudgetExceeded(message, token, n, "search")
 
     def search(d: int, rivals: list, rem: int, to_close: int, open_faces: int,
                k: int) -> Iterator[TripleProjection]:
@@ -329,7 +330,6 @@ def enumerate_projections(
                     f"the search yielded a shadow that is not in canonical form at n = {n}")
             seen.setdefault(code, p)
     except BudgetExceeded as exc:
-        exc.partial = list(seen)
         token = json.loads(exc.resume_token)
         token["partial"] = [list(code) for code in seen]
         exc.resume_token = json.dumps(token)
@@ -409,7 +409,6 @@ def fold_kauffman(f: Laurent2) -> str:
 
 @dataclass
 class ClassifyRun:
-    max_n: int
     projections_per_n: Dict[int, int] = field(default_factory=dict)
     kauffman_evals_per_n: Dict[int, int] = field(default_factory=dict)
     classes: Dict[ClassKey, KnotClass] = field(default_factory=dict)
@@ -464,7 +463,7 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
     through ``enumerate_projections`` (``tricross enumerate --n N
     --resume``); a stop in classification has no resume token.
     """
-    run = ClassifyRun(max_n)
+    run = ClassifyRun()
     unknot_pair = (fold_jones(HalfLaurent.one()), str(IntLaurent.from_int_coeffs({0: 1})))
     deadline = None
     if budget is not None and budget.wall_secs is not None:
@@ -480,7 +479,7 @@ def classify(max_n: int, budget: Optional[Budget] = None) -> ClassifyRun:
             evals = 0
             for p in projections:
                 if deadline is not None and time.monotonic() > deadline:
-                    raise BudgetExceeded("time budget exhausted", [], None, n, "classify")
+                    raise BudgetExceeded("time budget exhausted", None, n, "classify")
                 for pair, d in _project_classes(p):
                     if pair == unknot_pair or pair in older_pairs:
                         continue

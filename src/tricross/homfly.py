@@ -58,7 +58,9 @@ def homfly(
     dd: DoubleDiagram,
     tails: FrozenSet[int] | None = None,
 ) -> Laurent2:
-    """HOMFLY polynomial of an oriented link diagram."""
+    """HOMFLY polynomial of an oriented link diagram.  ``tails``, needed for a
+    link, is the set of darts pointing away from their crossing: one dart of
+    every edge, closed under the strand step; any other set is refused."""
     if dd.n > _MAX_CROSSINGS:
         raise BudgetError(
             f"diagram has {dd.n} crossings, above the limit of {_MAX_CROSSINGS}"
@@ -68,6 +70,11 @@ def homfly(
         if len(walks) > 1:
             raise DiagramError("not a knot: a link needs its tails")
         tails = frozenset(*walks)
+    elif 2 * len(tails) != len(dd.alpha) or not all(
+            0 <= d < len(dd.alpha) and dd.alpha[d] not in tails and dd.alpha[d] ^ 2 in tails
+            for d in tails):
+        raise DiagramError("tails is not an orientation: it needs one dart of every "
+                           "edge, closed under the strand step")
     engine = _Homfly()
     result = engine.eval(dd, tails, frozenset())
     # a knot, or the crossingless unknot: both directions must agree

@@ -3,8 +3,10 @@
 Two independent routes compute V(K):
 
 * :func:`jones_triple` resolves every triple crossing directly into the five
-  non-crossing matchings of its six ends, with per-matching coefficients
-  produced symbolically by :func:`derive_triple_relation`.  The loop counts
+  non-crossing matchings of its six ends (:data:`NONCROSSING`, each held as
+  its slot -> partner table), with per-matching coefficients produced
+  symbolically by :func:`derive_triple_relation` from the 12-dart table of
+  :func:`tangle.local_tangle`.  The loop counts
   of the 5^n resolutions come from one depth-first pass that joins open
   paths three chords at a time (:func:`_state_loop_counts`).  The sum over
   the resolutions is a Kronecker contraction: the loop-count vector of the
@@ -29,56 +31,25 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .alexander import _balanced_digits
 from .laurent import HalfLaurent
 from .maps import (HEIGHT_WORDS, DiagramError, DoubleDiagram, TripleDiagram, TripleProjection,
-                   _cycles)
+                   _checked_heights, _cycles)
 from .tangle import local_tangle, local_writhe
-
-Matching = FrozenSet[FrozenSet[int]]
 
 # delta: the bracket value of an extra closed loop, -t^(1/2) - t^(-1/2)
 LOOP_FACTOR = HalfLaurent({1: -1, -1: -1})
 
-
-def _noncrossing_matchings() -> List[Matching]:
-    """The five non-crossing perfect matchings of six cyclic points."""
-
-    def rec(points: Tuple[int, ...]) -> List[List[Tuple[int, int]]]:
-        if not points:
-            return [[]]
-        res = []
-        a = points[0]
-        for i in range(1, len(points)):
-            b = points[i]
-            inside = points[1:i]
-            outside = points[i + 1:]
-            for m1 in rec(inside):
-                for m2 in rec(outside):
-                    res.append([(a, b)] + m1 + m2)
-        return res
-
-    matchings = {
-        frozenset(frozenset(p) for p in m) for m in rec(tuple(range(6)))
-    }
-    return sorted(matchings, key=lambda m: sorted(sorted(p) for p in m))
-
-
-NONCROSSING: List[Matching] = _noncrossing_matchings()
-
-
-def _slot_partners(m: Matching) -> Tuple[int, ...]:
-    """Slot -> the slot a matching joins it to."""
-    out = [0] * 6
-    for s, t in (tuple(pair) for pair in m):
-        out[s], out[t] = t, s
-    return tuple(out)
-
-
-# per matching index, its slot -> slot table
-_PARTNERS = [_slot_partners(m) for m in NONCROSSING]
+# The perfect matchings of six slots, each as its slot -> partner table.
+_PAIRINGS = [q for q in itertools.permutations(range(6))
+             if all(q[s] != s and q[q[s]] == s for s in range(6))]
+# The five non-crossing ones, sorted: chords (s, q[s]) and (t, q[t]) cross
+# when s < t < q[s] < q[t].
+NONCROSSING: List[Tuple[int, ...]] = [
+    q for q in _PAIRINGS
+    if not any(s < t < q[s] < q[t] for s in range(6) for t in range(6))]
 
 
 # ---------------------------------------------------------------------------
@@ -255,20 +226,18 @@ def bracket_jones(dd: DoubleDiagram) -> HalfLaurent:
 class TripleRelation:
     """Per-height-word resolution coefficients for one triple crossing.
 
-    ``by_height[word][matching]`` is the (monomial) Jones coefficient of
-    resolving a crossing with height word ``word`` into ``matching`` (a
-    non-crossing perfect matching of the six boundary slots).
-    ``class_of[word]`` is the chirality class: ``"x"`` when the coefficient
-    exponents are positive, ``"y"`` for the mirror class.  Every coefficient
-    is ``-t^(e/2)``; ``exponents[word]`` lists those ``e`` in the order of
-    :data:`NONCROSSING`.
+    Built from ``coefficients[word][matching]``, the (monomial) Jones
+    coefficient of resolving a crossing with height word ``word`` into
+    ``matching``, one of :data:`NONCROSSING`.  Every coefficient is
+    ``-t^(e/2)``; ``exponents[word]`` lists those ``e`` in the order of
+    :data:`NONCROSSING`.  ``class_of[word]`` is the chirality class: ``"x"``
+    when the exponents are positive, ``"y"`` for the mirror class.
     """
 
-    def __init__(self, by_height: Dict[str, Dict[Matching, HalfLaurent]]):
-        self.by_height = by_height
+    def __init__(self, coefficients: Dict[str, Dict[Tuple[int, ...], HalfLaurent]]):
         self.class_of: Dict[str, str] = {}
         self.exponents: Dict[str, List[int]] = {}
-        for word, coeffs in by_height.items():
+        for word, coeffs in coefficients.items():
             table = []
             for m in NONCROSSING:
                 (e2, v), = coeffs[m].coeffs.items()
@@ -287,21 +256,21 @@ class TripleRelation:
     def coefficient_multiset(self, cls: str) -> List[HalfLaurent]:
         for word, c in self.class_of.items():
             if c == cls:
-                return sorted(self.by_height[word].values(), key=lambda p: p.min_exp2())
+                return [HalfLaurent({e: -1}) for e in sorted(self.exponents[word])]
         raise KeyError(cls)
 
 
-def _tangle_bracket(word: str) -> Dict[Matching, Dict[int, int]]:
+def _tangle_bracket(word: str) -> Dict[Tuple[int, ...], Dict[int, int]]:
     """Bracket expansion of the deconstructed triple crossing.
 
     Walks the 12-dart table of :func:`local_tangle`: returns, per boundary
-    matching, the A-polynomial collected over the eight local states
-    (closed loops already folded in).
+    matching (its slot -> partner table), the A-polynomial collected over
+    the eight local states (closed loops already folded in).
     """
     # dart -> the dart at the far end of its internal tangle edge
     edge_to, boundary = local_tangle(word)
     bd_of = {d: slot for slot, d in enumerate(boundary)}
-    out: Dict[Matching, Dict[int, int]] = {}
+    out: Dict[Tuple[int, ...], Dict[int, int]] = {}
     for state in itertools.product((0, 1), repeat=3):
         # dart -> the dart its crossing's smoothing joins it to
         joined = [0] * 12
@@ -314,7 +283,7 @@ def _tangle_bracket(word: str) -> Dict[Matching, Dict[int, int]]:
         # an arc runs from a boundary dart, alternating smoothings and
         # internal edges, to another boundary dart; what is left is loops
         seen = set(bd_of)
-        pairs = []
+        matching = [0] * 6
         for p in bd_of:
             q = joined[p]
             while q not in bd_of:
@@ -322,8 +291,7 @@ def _tangle_bracket(word: str) -> Dict[Matching, Dict[int, int]]:
                 q = edge_to[q]
                 seen.add(q)
                 q = joined[q]
-            if p < q:
-                pairs.append(frozenset((bd_of[p], bd_of[q])))
+            matching[bd_of[p]] = bd_of[q]
         loops = 0
         for p in range(12):
             if p in seen:
@@ -334,7 +302,6 @@ def _tangle_bracket(word: str) -> Dict[Matching, Dict[int, int]]:
                 q = joined[p]
                 seen.add(q)
                 p = edge_to[q]
-        matching: Matching = frozenset(pairs)
         poly = {a_exp: 1}
         for _ in range(loops):
             nxt: Dict[int, int] = {}
@@ -342,7 +309,7 @@ def _tangle_bracket(word: str) -> Dict[Matching, Dict[int, int]]:
                 for de in (2, -2):
                     nxt[e + de] = nxt.get(e + de, 0) - v
             poly = nxt
-        acc = out.setdefault(matching, {})
+        acc = out.setdefault(tuple(matching), {})
         for e, v in poly.items():
             acc[e] = acc.get(e, 0) + v
             if not acc[e]:
@@ -358,18 +325,18 @@ def derive_triple_relation() -> TripleRelation:
     per-crossing coefficients over a whole diagram gives V(K) with no global
     correction factor.
     """
-    by_height: Dict[str, Dict[Matching, HalfLaurent]] = {}
+    coefficients: Dict[str, Dict[Tuple[int, ...], HalfLaurent]] = {}
     for word in HEIGHT_WORDS:
         w = local_writhe(word)
-        coeffs: Dict[Matching, HalfLaurent] = {}
+        coeffs: Dict[Tuple[int, ...], HalfLaurent] = {}
         for matching, apoly in _tangle_bracket(word).items():
-            if matching not in set(NONCROSSING):
+            if matching not in NONCROSSING:
                 raise DiagramError("tangle expansion produced a crossing matching")
             coeffs[matching] = _bracket_to_half_laurent(apoly, w)
-        if set(coeffs) != set(NONCROSSING):
+        if len(coeffs) != len(NONCROSSING):
             raise DiagramError("tangle expansion missed a non-crossing matching")
-        by_height[word] = coeffs
-    return TripleRelation(by_height)
+        coefficients[word] = coeffs
+    return TripleRelation(coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +345,12 @@ def derive_triple_relation() -> TripleRelation:
 
 
 # per matching index, its three chords as slot pairs
-_CHORDS = [tuple((s, t) for s, t in enumerate(q) if s < t) for q in _PARTNERS]
+_CHORDS = [tuple((s, t) for s, t in enumerate(q) if s < t) for q in NONCROSSING]
 # how the open paths join six slots up (slot -> slot) -> the loops each
 # matching closes there: a loop is two orbits of the matching after the paths
 _LAST_LOOPS = {
-    paths: tuple(len(_cycles([q[t] for t in paths])) // 2 for q in _PARTNERS)
-    for paths in itertools.permutations(range(6))
-    if all(paths[s] != s and paths[paths[s]] == s for s in range(6))
+    paths: tuple(len(_cycles([q[t] for t in paths])) // 2 for q in NONCROSSING)
+    for paths in _PAIRINGS
 }
 
 
@@ -479,14 +445,16 @@ def jones_triple_batch(
     Words that share a prefix share the contractions of that prefix: all
     6^n words of a projection take at most ``5 n 6^n`` shift-adds.
 
-    A projection that is disconnected, not spherical or not one curve
-    raises :class:`DiagramError`, once per call.  On the crossingless
+    A projection that is disconnected, not spherical or not one curve, or
+    an entry of ``height_words`` that is not one height word per crossing,
+    raises :class:`DiagramError` before any sum.  On the crossingless
     projection every (empty) word gives the unknot's 1.
     """
     proj.validate()
     if proj.num_components() != 1:
         raise DiagramError("not a knot: more than one component")
     n = proj.n
+    height_words = [_checked_heights(words, n) for words in height_words]
     if n == 0:
         return [HalfLaurent.one() for _ in height_words]
     exponents = derive_triple_relation().exponents
@@ -502,7 +470,6 @@ def jones_triple_batch(
     partial: Dict[Tuple[str, ...], List[int]] = {(): vec}
     results = []
     for words in height_words:
-        words = tuple(words)
         for k in range(1, n + 1):
             if words[:k] not in partial:
                 partial[words[:k]] = _contract(partial[words[:k - 1]], shifts[words[k - 1]])

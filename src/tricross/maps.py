@@ -244,20 +244,26 @@ class TripleProjection(_Map):
         return True
 
 
+def _checked_heights(heights: Sequence[str], n: int) -> Tuple[str, ...]:
+    """``heights`` as a tuple, if it is one height word for each of ``n``
+    crossings; otherwise :class:`DiagramError`."""
+    heights = tuple(heights)
+    if len(heights) != n:
+        raise DiagramError("one height word per crossing required")
+    for w in heights:
+        if w not in HEIGHT_WORDS:
+            raise DiagramError(f"height word {w!r} is not a permutation of T, M, B")
+    return heights
+
+
 class TripleDiagram:
     """A projection plus a height word at every crossing; knots only."""
 
     __slots__ = ("projection", "heights")
 
     def __init__(self, projection: TripleProjection, heights: Sequence[str]):
-        heights = tuple(heights)
-        if len(heights) != projection.n:
-            raise DiagramError("one height word per crossing required")
-        for w in heights:
-            if w not in HEIGHT_WORDS:
-                raise DiagramError(f"height word {w!r} is not a permutation of T, M, B")
         self.projection = projection
-        self.heights = heights
+        self.heights = _checked_heights(heights, projection.n)
 
     @property
     def n(self) -> int:

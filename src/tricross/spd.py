@@ -14,7 +14,6 @@ all-or-none across crossings.  ``sPD[O]`` denotes the crossingless unknot.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Dict, List, Tuple, Union
 
@@ -92,28 +91,3 @@ def serialize_spd(obj: Union[TripleProjection, TripleDiagram]) -> str:
         word = f"|{heights[c]}" if heights is not None else ""
         parts.append(f"X[{','.join(labs)}{word}]")
     return f"sPD[{','.join(parts)}]"
-
-
-def to_json(obj: Union[TripleProjection, TripleDiagram]) -> str:
-    """JSON export with a stable field order."""
-    if isinstance(obj, TripleDiagram):
-        proj, heights = obj.projection, obj.heights
-        kind = "diagram"
-    else:
-        proj, heights = obj, None
-        kind = "projection"
-    record = {
-        "kind": kind,
-        "n": proj.n,
-        "pairing": list(proj.alpha),
-        "crossings": [
-            {
-                "id": c,
-                "slots": [proj.alpha[6 * c + s] for s in range(6)],
-                **({"heights": heights[c]} if heights is not None else {}),
-            }
-            for c in range(proj.n)
-        ],
-        "spd": serialize_spd(obj),
-    }
-    return json.dumps(record)

@@ -1,7 +1,9 @@
 """The local three-double-crossing tangle that deconstructs a triple crossing.
 
 A triple crossing has six ends on a small circle, counterclockwise slots
-``0..5``; strand ``j`` enters at slot ``j`` and leaves at slot ``j + 3``.
+``0..5``; strand ``j`` runs through slots ``j`` and ``j + 3``.  In their
+natural directions strands 0, 1, 2 enter at slots 0, 4, 2
+(:data:`NATURAL_ENTRY`), so the ends alternate in and out.
 Perturbing the triple point splits it into three transverse double points,
 one per strand pair, with over/under decided by the height word (``T`` over
 ``M`` over ``B``).  All perturbations are related by a slide of one strand
@@ -20,8 +22,10 @@ the connection is either ``("bd", slot)`` for a tangle boundary end or
 height word, :func:`local_tangle` turns it into one 12-dart table (dart
 ``4 i + s`` is slot ``s`` of sub-crossing ``"abc"[i]``, under-strand at
 slots 0 and 2; each dart's internal partner, and the dart at each boundary
-slot), built once per word.  :func:`convert_to_double` copies that table
-into every triple crossing, and the Jones relation walks it.
+slot), built once per word.  That table is the one local model:
+:func:`convert_to_double` copies it into every triple crossing, the Jones
+relation walks it, and :func:`local_walk` walks each strand through it once
+for the order in which the strands meet and the sign of every sub-crossing.
 """
 
 from __future__ import annotations
@@ -52,35 +56,8 @@ TANGLE_ENDS: Dict[str, List[Tuple[int, int, Tuple]]] = {
     ],
 }
 
-# Strand pair meeting at each internal crossing.
-TANGLE_STRANDS = {"a": (0, 2), "b": (0, 1), "c": (1, 2)}
-
-# Direction of travel (exit angle) per strand at each crossing, under the
-# natural orientation with slots 0, 2, 4 incoming: strand 0 runs slot 0 -> 3,
-# strand 1 runs 4 -> 1, strand 2 runs 2 -> 5.
-TANGLE_EXIT_ANGLE = {
-    "a": {0: 180, 2: 300},
-    "b": {0: 180, 1: 60},
-    "c": {1: 60, 2: 300},
-}
-
-
-def local_crossing_sign(crossing: str, heights: str) -> int:
-    """Sign of one internal double crossing for the height word ``heights``.
-
-    Positive when the over-strand exit direction is a counterclockwise
-    rotation (by less than 180 degrees) of the under-strand exit direction.
-    Reversing both strands preserves the sign, so the choice between the two
-    natural orientations does not matter.
-    """
-    s1, s2 = TANGLE_STRANDS[crossing]
-    over, under = (s1, s2) if HEIGHT_RANK[heights[s1]] > HEIGHT_RANK[heights[s2]] else (s2, s1)
-    diff = (TANGLE_EXIT_ANGLE[crossing][over] - TANGLE_EXIT_ANGLE[crossing][under]) % 360
-    return 1 if 0 < diff < 180 else -1
-
-
-def local_writhe(heights: str) -> int:
-    return sum(local_crossing_sign(x, heights) for x in "abc")
+# The slot at which each strand enters in its natural direction.
+NATURAL_ENTRY = (0, 4, 2)
 
 
 @lru_cache(maxsize=None)
@@ -95,8 +72,7 @@ def local_tangle(heights: str) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     dart: Dict[Tuple[str, int], int] = {}
     for i, x in enumerate("abc"):
         ends = sorted(TANGLE_ENDS[x])
-        s1, s2 = TANGLE_STRANDS[x]
-        under = s1 if HEIGHT_RANK[heights[s1]] < HEIGHT_RANK[heights[s2]] else s2
+        under = min((s for _, s, _ in ends), key=lambda s: HEIGHT_RANK[heights[s]])
         shift = 0 if ends[0][1] == under else 1
         for k, (angle, _, _) in enumerate(ends):
             dart[(x, angle)] = 4 * i + (k - shift) % 4
@@ -109,6 +85,42 @@ def local_tangle(heights: str) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
             else:
                 partner[dart[(x, angle)]] = dart[conn]
     return tuple(partner), tuple(boundary)
+
+
+@lru_cache(maxsize=None)
+def local_walk(heights: str) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], Tuple[int, ...]]:
+    """One walk of each strand, in its natural direction, through the 12-dart
+    table of ``heights``.  Returns, per strand, the sub-crossings it passes
+    in order, each as ``(i, k)``: it meets strand ``k`` at sub-crossing
+    ``"abc"[i]``; and the sign of each sub-crossing, read as
+    :meth:`DoubleDiagram.crossing_sign` reads one: +1 when the over-strand
+    leaves one slot counterclockwise past the under-strand.  Reversing both
+    strands keeps the sign, so either natural orientation gives it."""
+    partner, boundary = local_tangle(heights)
+    strand_of = [0] * 12
+    exit_slot = [[0, 0] for _ in range(3)]  # per sub-crossing: under's, over's
+    paths = []  # per strand: the dart by which it leaves each sub-crossing
+    for j, slot in enumerate(NATURAL_ENTRY):
+        paths.append([])
+        d = boundary[slot]
+        while d >= 0:
+            e = d ^ 2  # the opposite slot of the same sub-crossing
+            strand_of[d] = strand_of[e] = j
+            exit_slot[e // 4][e % 2] = e % 4
+            paths[j].append(e)
+            d = partner[e]
+    meets = tuple(tuple((e // 4, strand_of[e ^ 1]) for e in path) for path in paths)
+    signs = tuple(1 if (o - u) % 4 == 1 else -1 for u, o in exit_slot)
+    return meets, signs
+
+
+def local_crossing_sign(crossing: str, heights: str) -> int:
+    """Sign of sub-crossing ``crossing`` for the height word ``heights``."""
+    return local_walk(heights)[1]["abc".index(crossing)]
+
+
+def local_writhe(heights: str) -> int:
+    return sum(local_walk(heights)[1])
 
 
 def convert_to_double(diagram: TripleDiagram) -> DoubleDiagram:

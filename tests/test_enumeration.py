@@ -165,7 +165,6 @@ def test_budget_and_resume_roundtrip():
     exc = exc_info.value
     # the token carries the partial codes, and resuming from it completes
     # the census
-    assert json.loads(exc.resume_token)["partial"] == [list(c) for c in exc.partial]
     done = enumerate_projections(3, resume_token=exc.resume_token)
     assert len(done) == 2
     # the search depends on the mirror setting, and so does its token

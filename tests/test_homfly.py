@@ -2,6 +2,7 @@ import pytest
 
 from tricross import (
     BudgetError,
+    DiagramError,
     DoubleDiagram,
     bracket_jones,
     convert_to_double,
@@ -83,3 +84,22 @@ def test_split_union_of_two_trefoils():
     dd = DoubleDiagram(t.alpha + tuple(d + shift for d in t.alpha))
     both = tails | {d + shift for d in tails}
     assert homfly(dd, both) == DELTA * homfly(t, tails) ** 2
+
+
+def _one_edge_reversed(dd):
+    tails = dd.orientations()[0]
+    d = min(tails)
+    return tails ^ {d, dd.alpha[d]}
+
+
+@pytest.mark.parametrize("make_tails", [
+    lambda dd: frozenset(), lambda dd: frozenset(range(12)), lambda dd: frozenset({0, 1}),
+    _one_edge_reversed,
+], ids=["empty", "every-dart", "two-darts", "one-edge-reversed"])
+def test_tails_that_are_not_an_orientation_are_refused(make_tails):
+    # one dart of every edge, closed under the strand step, or a DiagramError
+    dd = DoubleDiagram.from_pd(rational_knot_pd((3,)))
+    assert dd.n == 3
+    with pytest.raises(DiagramError, match="not an orientation"):
+        homfly(dd, make_tails(dd))
+    assert homfly(dd, dd.orientations()[0]) == Laurent2({(2, 0): 2, (2, 2): 1, (4, 0): -1})

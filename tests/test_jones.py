@@ -4,6 +4,7 @@ import random
 import pytest
 
 from tricross import (
+    DiagramError,
     DoubleDiagram,
     HalfLaurent,
     TripleDiagram,
@@ -221,6 +222,12 @@ def test_derive_triple_relation_exponents_per_matching():
     }
 
 
+def test_noncrossing_matchings_are_sorted_slot_tables():
+    # the order that the pinned exponents above are read in
+    assert NONCROSSING == [(1, 0, 3, 2, 5, 4), (1, 0, 5, 4, 3, 2), (3, 2, 1, 0, 5, 4),
+                           (5, 2, 1, 4, 3, 0), (5, 4, 3, 2, 1, 0)]
+
+
 def test_batch_matches_single():
     d = parse_spd(T2_1)
     p = d.projection
@@ -228,6 +235,19 @@ def test_batch_matches_single():
     batch = jones_triple_batch(p, words_list)
     for words, v in zip(words_list, batch):
         assert v == jones_triple(TripleDiagram(p, list(words)))
+
+
+@pytest.mark.parametrize("words, error", [
+    (("TMB",), "one height word per crossing"),
+    ("TMB", "one height word per crossing"),
+    (("TMB", "XYZ"), "'XYZ' is not a permutation"),
+    (("TMB", "TTT"), "'TTT' is not a permutation"),
+], ids=["one-word", "three-letters", "not-a-word", "repeated-letter"])
+def test_batch_refuses_bad_height_words(words, error):
+    # the messages of TripleDiagram, before any sum
+    p = parse_spd(T2_1).projection
+    with pytest.raises(DiagramError, match=error):
+        jones_triple_batch(p, [("TMB", "TMB"), words])
 
 
 def test_batch_on_the_crossingless_projection():
@@ -252,12 +272,6 @@ def _reference_loop_counts(proj):
     ``itertools.product(range(5), repeat=n)``: one walk of all 6n darts per
     state, alternating the pairing and the state's matchings."""
     n = proj.n
-    partners = []
-    for m in NONCROSSING:
-        out = [0] * 6
-        for s, t in (tuple(pair) for pair in m):
-            out[s], out[t] = t, s
-        partners.append(out)
     counts = []
     for state in itertools.product(range(5), repeat=n):
         seen = [False] * (6 * n)
@@ -272,7 +286,7 @@ def _reference_loop_counts(proj):
                 e = proj.alpha[d]
                 seen[e] = True
                 c = e // 6
-                d = 6 * c + partners[state[c]][e - 6 * c]
+                d = 6 * c + NONCROSSING[state[c]][e - 6 * c]
         counts.append(loops)
     return counts
 
@@ -283,12 +297,6 @@ def _reference_jones_triple_batch(proj, height_words):
     sum of the crossings' relation exponents."""
     n = proj.n
     exponents = derive_triple_relation().exponents
-    partners = []
-    for m in NONCROSSING:
-        out = [0] * 6
-        for s, t in (tuple(pair) for pair in m):
-            out[s], out[t] = t, s
-        partners.append(out)
     states = []
     for state in itertools.product(range(5), repeat=n):
         seen = [False] * (6 * n)
@@ -303,7 +311,7 @@ def _reference_jones_triple_batch(proj, height_words):
                 e = proj.alpha[d]
                 seen[e] = True
                 c = e // 6
-                d = 6 * c + partners[state[c]][e - 6 * c]
+                d = 6 * c + NONCROSSING[state[c]][e - 6 * c]
         states.append((state, (LOOP_FACTOR ** (loops - 1)).coeffs.items()))
     sign = -1 if n % 2 else 1
     results = []

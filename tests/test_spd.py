@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from tricross import (
@@ -9,7 +7,6 @@ from tricross import (
     parse_spd,
     serialize_spd,
 )
-from tricross.spd import to_json
 from conftest import T2_1, T2_2
 
 
@@ -57,12 +54,3 @@ def test_serialize_is_normal_form():
 def test_syntax_errors(bad):
     with pytest.raises(SpdSyntaxError):
         parse_spd(bad)
-
-
-def test_to_json_contains_structure():
-    obj = json.loads(to_json(parse_spd(T2_1)))
-    assert obj["kind"] == "diagram"
-    assert obj["n"] == 2
-    assert len(obj["pairing"]) == 12
-    assert [c["heights"] for c in obj["crossings"]] == ["TMB", "TMB"]
-    assert parse_spd(obj["spd"]) == parse_spd(T2_1)

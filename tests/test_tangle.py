@@ -16,7 +16,7 @@ from tricross import (
 )
 from tricross.enumeration import HEIGHT_WORDS
 from tricross.maps import HEIGHT_RANK
-from tricross.tangle import local_crossing_sign, local_tangle, local_writhe
+from tricross.tangle import local_crossing_sign, local_tangle, local_walk, local_writhe
 from conftest import T2_1, T2_2
 
 
@@ -75,6 +75,25 @@ def test_local_crossing_signs_pm_one():
     for word in ("".join(w) for w in itertools.permutations("TMB")):
         for crossing in "abc":
             assert local_crossing_sign(crossing, word) in (-1, 1)
+
+
+# A frozen copy of the signs of sub-crossings a, b, c per height word, and
+# of the order in which each strand meets the other two in its natural
+# direction (strand j meets j - 1, then j + 1), from the hand tables that the
+# walk of the 12-dart table replaced.
+_SIGNS = {
+    "TMB": (-1, 1, 1), "TBM": (-1, 1, -1), "MTB": (-1, -1, 1),
+    "MBT": (1, 1, -1), "BTM": (1, -1, 1), "BMT": (1, -1, -1),
+}
+_MEETINGS = ((("a", 2), ("b", 1)), (("b", 0), ("c", 2)), (("c", 1), ("a", 0)))
+
+
+@pytest.mark.parametrize("word", HEIGHT_WORDS)
+def test_local_walk_equals_the_frozen_tables(word):
+    meets, signs = local_walk(word)
+    assert signs == _SIGNS[word]
+    assert tuple(local_crossing_sign(x, word) for x in "abc") == _SIGNS[word]
+    assert tuple(tuple(("abc"[i], k) for i, k in strand) for strand in meets) == _MEETINGS
 
 
 def test_conversion_respects_mirror():
