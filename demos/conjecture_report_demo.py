@@ -12,12 +12,12 @@ small census) this prints whether
 
 import sys
 
-from tricross import classify, conjecture_report, load_reference
+from tricross import classify, conjecture_report, reference_rows
 
 
 def main() -> None:
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 3
-    refs = load_reference()
+    refs = reference_rows()
     run = classify(max_n)
     report = conjecture_report(list(run.classes.values()), refs)
 

@@ -17,12 +17,12 @@ Pass a max n as the first argument to stop earlier (default 4).
 import sys
 import time
 
-from tricross import classify, count_table, identify, load_reference
+from tricross import classify, count_table, identify, reference_rows
 
 
 def main() -> None:
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 4
-    refs = load_reference()
+    refs = reference_rows()
 
     t0 = time.monotonic()
     run = classify(max_n)

@@ -71,7 +71,6 @@ from .tables import (
     emit_table,
     emit_tikz,
     identify,
-    load_reference,
     rational_knot_pd,
     reference_rows,
 )

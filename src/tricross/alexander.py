@@ -41,7 +41,7 @@ into, and the sign of each; the height word says which strand passes under.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .laurent import IntLaurent
 from .maps import (HEIGHT_RANK, HEIGHT_WORDS, DiagramError, DoubleDiagram, TripleDiagram,
@@ -91,11 +91,9 @@ def _balanced_digits(value: int, base: int) -> Dict[int, int]:
     return digits
 
 
-def _wirtinger(
-    dd: DoubleDiagram, tails: FrozenSet[int] | None = None
-) -> List[Tuple[int, int]]:
-    """The under-passages of ``dd`` along ``tails`` or, without, along the
-    knot's first walk, in the format :func:`_chain_alexander` reads:
+def _wirtinger(dd: DoubleDiagram) -> List[Tuple[int, int]]:
+    """The under-passages of ``dd`` along the knot's first walk, in the
+    format :func:`_chain_alexander` reads:
     ``passes[k] = (over arc, sign)``, passage ``k`` running from arc ``k``
     to arc ``k + 1`` (mod ``n``).  A link raises :class:`DiagramError`.
 
@@ -106,7 +104,7 @@ def _wirtinger(
     n = dd.n
     if n == 0:
         return []
-    walks = dd.walks(tails)
+    walks = dd.walks()
     if len(walks) != 1:
         raise DiagramError("not a knot: more than one component")
     (order,) = walks

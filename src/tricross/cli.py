@@ -32,7 +32,7 @@ from .kauffman import kauffman_f
 from .laurent import IntLaurent, breadth, is_monic
 from .maps import DiagramError, TripleDiagram, TripleProjection
 from .spd import parse_spd, serialize_spd
-from .tables import conjecture_report, emit_table, emit_tikz, load_reference
+from .tables import conjecture_report, emit_table, emit_tikz, reference_rows
 from .tangle import convert_to_double
 
 EXIT_OK = 0
@@ -219,7 +219,7 @@ def _read_run(path: str) -> tuple[List[dict], List[KnotClass]]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """The report of a run file; with none, of an empty run."""
-    refs = load_reference()
+    refs = reference_rows()
     rows, classes = _read_run(args.run_file) if args.run_file is not None else ([], [])
     report = conjecture_report(classes, refs)
     if args.fmt == "json":

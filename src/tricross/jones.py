@@ -213,9 +213,7 @@ def bracket_jones(dd: DoubleDiagram) -> HalfLaurent:
     Independent of the triple-crossing relation."""
     if dd.n == 0:
         return HalfLaurent.one()
-    # orientations() refuses a link: the writhe of a knot is orientation-free
-    w = dd.writhe(dd.orientations()[0])
-    return _bracket_to_half_laurent(kauffman_bracket(dd), w)
+    return _bracket_to_half_laurent(kauffman_bracket(dd), dd.writhe())
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,4 @@ def kauffman_lambda(dd: DoubleDiagram) -> Laurent2:
 
 def kauffman_f(dd: DoubleDiagram) -> Laurent2:
     """Kauffman polynomial F of a knot diagram: a^-w Lambda."""
-    # orientations() refuses a link: F normalises by the knot writhe
-    w = dd.writhe(dd.orientations()[0])
-    return kauffman_lambda(dd).scale(1, -w, 0)
+    return kauffman_lambda(dd).scale(1, -dd.writhe(), 0)

@@ -45,10 +45,6 @@ class _Laurent:
         return p
 
     @classmethod
-    def zero(cls: Type[_L]) -> _L:
-        return cls()
-
-    @classmethod
     def one(cls: Type[_L]) -> _L:
         return cls({cls._UNIT: 1})
 

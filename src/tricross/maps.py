@@ -348,10 +348,14 @@ class DoubleDiagram(_Map):
 
     def crossing_sign(self, c: int, tails: FrozenSet[int]) -> int:
         """+1 when the over-strand exit slot is one counterclockwise step
-        past the under-strand exit slot."""
+        past the under-strand exit slot.  ``tails`` is not checked: the skein
+        engines call this inside their loops with link orientations."""
         u_out = 0 if 4 * c + 0 in tails else 2
         o_out = 1 if 4 * c + 1 in tails else 3
         return 1 if (o_out - u_out) % 4 == 1 else -1
 
-    def writhe(self, tails: FrozenSet[int]) -> int:
+    def writhe(self) -> int:
+        """The writhe of a knot, the same along either orientation; a link
+        raises as :meth:`orientations` does."""
+        tails = self.orientations()[0]
         return sum(self.crossing_sign(c, tails) for c in range(self.n))

@@ -72,8 +72,16 @@ def _count_pinned(
 ) -> int:
     """Homomorphism count with arc 0 pinned to ``rep``, all arcs in ``cls``;
     passage ``k`` runs from arc ``k`` to arc ``k + 1`` beneath
-    ``passes[k][0]``, with crossing sign ``passes[k][1]``."""
+    ``passes[k][0]``, with crossing sign ``passes[k][1]``.
+
+    Each branch assigns the free arc that is the over-arc of the most
+    passages, ties going to the lowest index: it is the one whose value
+    propagates through the most relations."""
     arcs = len(passes)
+    over_count = [0] * arcs
+    for over, _ in passes:
+        over_count[over] += 1
+    order = sorted(range(arcs), key=lambda i: -over_count[i])
 
     def solve(assign: List[Perm | None]) -> int:
         changed = True
@@ -95,7 +103,7 @@ def _count_pinned(
                 elif assign[out] is not None:
                     assign[inn] = _mul(_mul(b, assign[out]), a)
                     changed = True
-        for i in range(arcs):
+        for i in order:
             if assign[i] is None:
                 return sum(solve(assign[:i] + [g] + assign[i + 1:]) for g in cls)
         return 1

@@ -1,14 +1,15 @@
 """Reference knots, naming, conjecture reporting, and table/TikZ emission.
 
-The bundled reference table is generated by this package's own oracles from
-rational-tangle and braid-closure planar diagrams; nothing is copied from
-external databases, so every number in the repository is reproducible by the
-repository (see ``demos/build_reference_table.py``).
+The reference table (:func:`reference_rows`) is computed once per process by
+this package's own oracles from rational-tangle and braid-closure planar
+diagrams; nothing is copied from external databases, and no copy of it ships
+with the package.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -20,7 +21,7 @@ from .alexander import alexander
 from .enumeration import ClassKey, fold_jones, fold_kauffman
 from .jones import bracket_jones
 from .kauffman import kauffman_f
-from .laurent import HalfLaurent, IntLaurent, Laurent2, breadth, is_monic
+from .laurent import IntLaurent, breadth, is_monic
 from .maps import DiagramError, DoubleDiagram, TripleDiagram
 
 
@@ -179,8 +180,10 @@ def _reference_knot(name: str, dd: DoubleDiagram, a: IntLaurent) -> ReferenceKno
     )
 
 
-def reference_rows() -> List[ReferenceKnot]:
-    """Recompute the reference table from the constructions above."""
+@functools.cache
+def reference_rows() -> Tuple[ReferenceKnot, ...]:
+    """The reference table, computed once per process from the constructions
+    above and sorted by (c2, name)."""
     rows = []
     for name, twists in sorted(RATIONAL_KNOTS.items()):
         pd = rational_knot_pd(twists)
@@ -195,65 +198,10 @@ def reference_rows() -> List[ReferenceKnot]:
         dd = DoubleDiagram.from_pd(braid_closure_pd(strands, word))
         rows.append(_reference_knot(name, dd, alexander(dd)))
     rows.sort(key=lambda r: (r.c2, r.name))
-    return rows
+    return tuple(rows)
 
 
-REFERENCE_HEADER = ["name", "c2", "alternating", "jones", "alexander", "kauffman"]
-
-
-def write_reference_csv(rows: List[ReferenceKnot], path: str) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(REFERENCE_HEADER)
-        for r in rows:
-            w.writerow([r.name, r.c2, int(r.alternating), r.jones, r.alexander,
-                        r.kauffman])
-
-
-def load_reference(path: Optional[str] = None) -> List[ReferenceKnot]:
-    """Load the reference CSV (the bundled copy when no path is given).
-
-    Every row carries the whole class key.  A row with an empty
-    ``kauffman`` cell, or with a polynomial that does not parse, is refused
-    with a ``DiagramError`` that names it."""
-    if path is None:
-        from importlib import resources
-
-        text = resources.files("tricross.data").joinpath("reference_knots.csv").read_text()
-    else:
-        with open(path) as f:
-            text = f.read()
-    rows: List[ReferenceKnot] = []
-    names = set()
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        return rows
-    if header != REFERENCE_HEADER:
-        raise DiagramError(f"bad reference header: {header}")
-    for rec in reader:
-        if len(rec) != len(REFERENCE_HEADER):
-            raise DiagramError(f"malformed reference row: {rec}")
-        name, c2, alt, jones, alex, kauffman = rec
-        if name in names:
-            raise DiagramError(f"duplicate reference name {name}")
-        names.add(name)
-        if not kauffman:
-            raise DiagramError(f"{name}: empty kauffman cell")
-        try:
-            a = IntLaurent.parse(alex)
-            HalfLaurent.parse(jones)  # validates syntax
-            Laurent2.parse(kauffman)
-        except ValueError as exc:
-            raise DiagramError(f"{name}: {exc}") from None
-        if a.invert_t() != a or sum(a.int_coeffs().values()) != 1:
-            raise DiagramError(f"{name}: Alexander normalization violated")
-        rows.append(
-            ReferenceKnot(name, int(c2), bool(int(alt)), jones, alex, kauffman))
-    return rows
-
-
-def identify(fingerprint: ClassKey, refs: List[ReferenceKnot]) -> Optional[str]:
+def identify(fingerprint: ClassKey, refs: Sequence[ReferenceKnot]) -> Optional[str]:
     """The name of the reference knot whose key (folded Jones, Alexander,
     folded Kauffman F) is ``fingerprint``; the joined candidates when several
     are; None when none is."""
@@ -303,7 +251,7 @@ class ConjectureReport:
                            "classes": [asdict(v) for v in self.verdicts]})
 
 
-def conjecture_report(classes, refs: List[ReferenceKnot]) -> ConjectureReport:
+def conjecture_report(classes, refs: Sequence[ReferenceKnot]) -> ConjectureReport:
     """Evaluate the breadth conjecture and crossing-number bounds on classes.
 
     ``classes`` is an iterable of objects with ``alexander`` (text), ``c3``,
@@ -341,7 +289,7 @@ def conjecture_report(classes, refs: List[ReferenceKnot]) -> ConjectureReport:
 # ---------------------------------------------------------------------------
 
 
-def emit_table(classes, refs: List[ReferenceKnot], fmt: str = "json") -> str:
+def emit_table(classes, refs: Sequence[ReferenceKnot], fmt: str = "json") -> str:
     rows = []
     for kc in sorted(classes, key=lambda k: (k.c3, k.jones_folded)):
         rows.append(

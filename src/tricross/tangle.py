@@ -114,11 +114,6 @@ def local_walk(heights: str) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], T
     return meets, signs
 
 
-def local_crossing_sign(crossing: str, heights: str) -> int:
-    """Sign of sub-crossing ``crossing`` for the height word ``heights``."""
-    return local_walk(heights)[1]["abc".index(crossing)]
-
-
 def local_writhe(heights: str) -> int:
     return sum(local_walk(heights)[1])
 

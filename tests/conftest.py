@@ -1,13 +1,13 @@
 """Shared fixtures.
 
-The expensive full classification (n <= 4, about one minute) is computed
-once per session and shared by the acceptance tests and anything else that
-needs the class table.
+The full classification (n <= 4, about two seconds) is computed once per
+session and shared by the acceptance tests and anything else that needs the
+class table.
 """
 
 import pytest
 
-from tricross import classify, enumeration, enumerate_projections, load_reference
+from tricross import classify, enumeration, enumerate_projections, reference_rows
 
 # Frozen sPD fixtures: the two 2-triple-crossing diagrams and their knots.
 T2_1 = "sPD[X[5,4,3,2,1,5|TMB],X[6,2,3,4,1,6|TMB]]"  # trefoil
@@ -31,7 +31,7 @@ PD_KINK = [[1, 2, 2, 1]]
 
 @pytest.fixture(scope="session")
 def reference():
-    return load_reference()
+    return reference_rows()
 
 
 @pytest.fixture(scope="session")

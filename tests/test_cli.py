@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -8,6 +9,7 @@ from tricross.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_VIOLATION,
+    _run_records,
     main,
 )
 from conftest import T2_1
@@ -190,6 +192,14 @@ def test_classify_and_report_roundtrip(tmp_path):
     assert payload["conjecture"]["violated"] is False
     names = {v["name"] for v in payload["conjecture"]["classes"]}
     assert names == {"3_1", "4_1"}
+
+
+def test_classify_n4_records_are_byte_identical_to_the_stored_copy(run_n4):
+    """``tricross classify --n 4`` prints exactly ``tests/data/classify_n4.jsonl``."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                        "classify_n4.jsonl")
+    with open(path) as f:
+        assert "\n".join(_run_records(run_n4)) + "\n" == f.read()
 
 
 def test_classify_budget_stop_names_n_and_stage(tmp_path, projection_clock):

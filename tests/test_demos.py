@@ -31,8 +31,3 @@ def test_reproduce_count_table_small():
     rows = [line.split() for line in _run("reproduce_count_table.py", "3").splitlines()[1:3]]
     assert rows == [["2", "1", "2"], ["3", "2", "2"]]
 
-
-def test_build_reference_table_matches_the_bundled_copy(tmp_path):
-    out = tmp_path / "reference.csv"
-    assert "matches the bundled copy" in _run("build_reference_table.py", str(out))
-    assert out.exists()

@@ -117,7 +117,7 @@ def test_reduce_removes_a_kink_by_its_sign():
     dd = DoubleDiagram.from_pd(PD_KINK)
     reduced, _, _, kinks, loops = reduce(dd, NO_TAILS, NO_FLIPS)
     assert (reduced.n, loops) == (0, 1)
-    assert kinks == dd.writhe(dd.orientations()[0]) in (1, -1)
+    assert kinks == dd.writhe() in (1, -1)
     assert reduce(dd, NO_TAILS, frozenset({0}))[3] == -kinks
 
 
@@ -164,7 +164,7 @@ def _bigon(dd, x, x2, s, t):
 
 
 def _writhe(dd):
-    return dd.writhe(dd.orientations()[0])
+    return dd.writhe()
 
 
 @pytest.mark.parametrize("seed", range(12))

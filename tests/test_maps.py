@@ -11,6 +11,7 @@ from tricross import (
     TripleProjection,
     natural_orientations,
     parse_spd,
+    rational_knot_pd,
 )
 from conftest import PD_FIG8, PD_KINK, PD_TREFOIL, T2_1, T2_2
 
@@ -67,19 +68,27 @@ def test_double_diagram_from_pd_roundtrip_counts():
     assert dd.n == 3
     assert dd.num_components() == 1
     tails = dd.orientations()[0]
-    assert abs(dd.writhe(tails)) == 3  # trefoil is alternating, |w| = 3
+    assert abs(dd.writhe()) == 3  # trefoil is alternating, |w| = 3
     assert all(dd.crossing_sign(c, tails) in (-1, 1) for c in range(dd.n))
 
 
 def test_double_diagram_kink_writhe():
     dd = DoubleDiagram.from_pd(PD_KINK)
     assert dd.n == 1
-    assert abs(dd.writhe(dd.orientations()[0])) == 1
+    assert abs(dd.writhe()) == 1
 
 
 def test_double_diagram_fig8_writhe_zero():
     dd = DoubleDiagram.from_pd(PD_FIG8)
-    assert dd.writhe(dd.orientations()[0]) == 0
+    assert dd.writhe() == 0
+
+
+def test_writhe_is_the_knot_writhe_along_either_orientation():
+    dd = DoubleDiagram.from_pd(rational_knot_pd((3,)))
+    for tails in dd.orientations():
+        assert sum(dd.crossing_sign(c, tails) for c in range(dd.n)) == dd.writhe() == -3
+    with pytest.raises(DiagramError, match="not a knot"):
+        DoubleDiagram.from_pd(rational_knot_pd((2,))).writhe()
 
 
 def test_from_pd_rejects_bad_edge_multiplicity():

@@ -2,10 +2,13 @@
 of the three classes whose polynomials factor like sums (witnesses frozen
 from the n = 4 classification)."""
 
+import random
+
 import pytest
 
 from tricross import (
     DoubleDiagram,
+    TripleDiagram,
     connected_sum_counts,
     convert_to_double,
     hom_counts,
@@ -16,8 +19,15 @@ from tricross import (
     permutation_group,
     rational_knot_pd,
 )
+from tricross.alexander import _wirtinger
+from tricross.enumeration import _first_words
 from tricross.laurent import Laurent2
+from tricross.quotients import _mul
 from conftest import W_31_41, W_41_41, W_SQUARE
+
+# An n = 4 unknot diagram (Jones and Alexander 1) on which branching on the
+# lowest-numbered free arc did not finish the S4 profile in 20 s.
+W_SLOW_BRANCHING = "sPD[X[1,1,2,3,4,5|TMB],X[2,6,7,8,4,3|MTB],X[5,9,10,11,7,6|MBT],X[8,11,10,9,12,12|BTM]]"
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +120,68 @@ def test_sum_counts_distinguish_square_from_granny(s4):
     p31 = meridional_profile(tre, s4)
     p41 = meridional_profile(fig8, s4)
     assert connected_sum_counts(p31, p31, s4) != connected_sum_counts(p41, p41, s4)
+
+
+# -- the pinned-count solver as first written, kept as a reference ------------
+
+
+def _reference_count_pinned(passes, cls, inv, rep):
+    """Branches on the lowest-numbered unassigned arc."""
+    arcs = len(passes)
+
+    def solve(assign):
+        changed = True
+        while changed:
+            changed = False
+            for inn, (over, sign) in enumerate(passes):
+                out = (inn + 1) % arcs
+                w = assign[over]
+                if w is None:
+                    continue
+                a, b = (w, inv[w]) if sign > 0 else (inv[w], w)
+                if assign[inn] is not None:
+                    y = _mul(_mul(a, assign[inn]), b)
+                    if assign[out] is None:
+                        assign[out] = y
+                        changed = True
+                    elif assign[out] != y:
+                        return 0
+                elif assign[out] is not None:
+                    assign[inn] = _mul(_mul(b, assign[out]), a)
+                    changed = True
+        for i in range(arcs):
+            if assign[i] is None:
+                return sum(solve(assign[:i] + [g] + assign[i + 1:]) for g in cls)
+        return 1
+
+    start = [None] * arcs
+    start[0] = rep
+    return solve(start)
+
+
+def _reference_profile(dd, group):
+    _, inv, classes = group
+    passes = _wirtinger(dd)
+    if not passes:
+        return [1 for _ in classes]
+    return [_reference_count_pinned(passes, C, inv, C[0]) for C in classes]
+
+
+def test_profiles_equal_the_reference_solver_up_to_three(projections_n3):
+    """One diagram per mirror class at n <= 3: all of them in S3 and A4, a
+    seeded sample in S4, where the reference solver is slowest."""
+    diagrams = [convert_to_double(TripleDiagram(p, words))
+                for p in projections_n3[2] + projections_n3[3]
+                for words in _first_words(p, fold_mirror=True).values()]
+    sample = random.Random(0).sample(diagrams, 20)
+    for name, dds in (("S3", diagrams), ("A4", diagrams), ("S4", sample)):
+        group = permutation_group(name)
+        for dd in dds:
+            assert meridional_profile(dd, group) == _reference_profile(dd, group)
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "A5"])
+def test_profile_of_a_diagram_the_reference_solver_does_not_finish(name):
+    group = permutation_group(name)
+    dd = convert_to_double(parse_spd(W_SLOW_BRANCHING))
+    assert meridional_profile(dd, group) == meridional_profile(DoubleDiagram.unknot(), group)

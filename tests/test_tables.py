@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,6 @@ from tricross import (
     emit_tikz,
     identify,
     kauffman_f,
-    load_reference,
     parse_spd,
     rational_knot_pd,
 )
@@ -29,11 +29,13 @@ from tricross.tables import (
     APPLICABLE_HOLDS,
     APPLICABLE_VIOLATED,
     NOT_APPLICABLE,
+    ReferenceKnot,
     continued_fraction,
     reference_rows,
-    write_reference_csv,
 )
 from conftest import T2_1, W_41_41, W_41_41_SPLIT, W_51_SPLIT
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def test_reference_loads_and_validates(reference):
@@ -46,7 +48,7 @@ def test_reference_loads_and_validates(reference):
 
 def test_reference_fingerprints_distinct(reference):
     fps = [r.fingerprint for r in reference]
-    assert len(set(fps)) == 32  # Jones+Alexander separate all bundled knots
+    assert len(set(fps)) == 32  # the whole key separates all reference knots
 
 
 def test_continued_fraction():
@@ -75,7 +77,7 @@ def test_identify_unique_ambiguous_none(reference):
     assert identify(r31.fingerprint, reference) == "3_1"
     assert identify(("no-such", "poly", "F"), reference) is None
     twin = replace(r31, name="fake", c2=9)
-    assert identify(r31.fingerprint, reference + [twin]) == "ambiguous:3_1,fake"
+    assert identify(r31.fingerprint, reference + (twin,)) == "ambiguous:3_1,fake"
 
 
 def test_identify_matches_the_whole_key(reference):
@@ -156,22 +158,12 @@ def test_emit_tikz_colors_and_structure():
 
 
 def test_reference_rows_regenerate_consistently(reference):
-    regen = {r.name: r for r in reference_rows()}
-    for r in reference:
-        assert regen[r.name].fingerprint == r.fingerprint
-
-
-@pytest.mark.parametrize("column, cell", [
-    ("kauffman", ""), ("kauffman", "garbage"), ("jones", "garbage"),
-    ("alexander", "garbage"), ("alexander", "2*t^0 + -1*t^1"),
-])
-def test_load_reference_refuses_a_malformed_row(tmp_path, column, cell):
-    path = tmp_path / "reference.csv"
-    write_reference_csv(load_reference(), str(path))
-    assert load_reference(str(path)) == load_reference()
-    rows = list(csv.reader(io.StringIO(path.read_text())))
-    rows[3][rows[0].index(column)] = cell
-    with open(path, "w", newline="") as f:
-        csv.writer(f).writerows(rows)
-    with pytest.raises(DiagramError, match=f"^{rows[3][0]}: "):
-        load_reference(str(path))
+    """The rows computed from the constructions equal, field for field, the
+    copy stored under ``tests/data``; they are computed once per process."""
+    with open(os.path.join(DATA, "reference_knots.csv"), newline="") as f:
+        stored = tuple(
+            ReferenceKnot(r["name"], int(r["c2"]), bool(int(r["alternating"])),
+                          r["jones"], r["alexander"], r["kauffman"])
+            for r in csv.DictReader(f))
+    assert reference == stored
+    assert reference_rows() is reference

@@ -16,7 +16,7 @@ from tricross import (
 )
 from tricross.enumeration import HEIGHT_WORDS
 from tricross.maps import HEIGHT_RANK
-from tricross.tangle import local_crossing_sign, local_tangle, local_walk, local_writhe
+from tricross.tangle import local_tangle, local_walk, local_writhe
 from conftest import T2_1, T2_2
 
 
@@ -71,10 +71,10 @@ def test_local_writhe_totals():
 
 
 def test_local_crossing_signs_pm_one():
-    # the three internal double crossings are labeled "a", "b", "c"
+    # the three internal double crossings "a", "b", "c", in that order
     for word in ("".join(w) for w in itertools.permutations("TMB")):
-        for crossing in "abc":
-            assert local_crossing_sign(crossing, word) in (-1, 1)
+        signs = local_walk(word)[1]
+        assert len(signs) == 3 and set(signs) <= {-1, 1}
 
 
 # A frozen copy of the signs of sub-crossings a, b, c per height word, and
@@ -92,7 +92,6 @@ _MEETINGS = ((("a", 2), ("b", 1)), (("b", 0), ("c", 2)), (("c", 1), ("a", 0)))
 def test_local_walk_equals_the_frozen_tables(word):
     meets, signs = local_walk(word)
     assert signs == _SIGNS[word]
-    assert tuple(local_crossing_sign(x, word) for x in "abc") == _SIGNS[word]
     assert tuple(tuple(("abc"[i], k) for i, k in strand) for strand in meets) == _MEETINGS
 
 
@@ -102,7 +101,7 @@ def test_conversion_respects_mirror():
     d = parse_spd(T2_1)
     mirror = TripleDiagram(d.projection, [w[::-1] for w in d.heights])
     dd, mm = convert_to_double(d), convert_to_double(mirror)
-    assert dd.writhe(dd.orientations()[0]) == -mm.writhe(mm.orientations()[0])
+    assert dd.writhe() == -mm.writhe()
 
 
 # A frozen copy of the tangle geometry and of the connection-format
